@@ -217,7 +217,8 @@ def _run_levi(vm: ValidatedManifold, config: RunConfig) -> None:
     cert = generic_rank_matrix([list(r) for r in rows])
     coords = vm.point_coords()
     point_rank = rank_at_point_matrix([[e.eval(coords) for e in r] for r in rows])
-    kernel = slant_k(vm, frame) if cert.rank == 1 else None
+    # Kernel data exists only on the five-dimensional type (2,1).
+    kernel = slant_k(vm, frame) if cert.rank == 1 and (vm.n, vm.c) == (2, 1) else None
     if config.json_output:
         doc = {
             "input": vm.input_dict(),

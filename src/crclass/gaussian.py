@@ -1,70 +1,106 @@
 """Exact Gaussian rational numbers, the coefficient field Q(i).
 
-Every number is a pair of arbitrary-precision rationals (re, im) kept in
-lowest terms by fractions.Fraction. There is no floating-point path:
+Every number is a triple of arbitrary-precision ints (a, b, d) meaning
+(a + b*I)/d, always in the canonical form d > 0 and gcd(a, b, d) = 1, so
+zero is (0, 0, 1). Each value has exactly one canonical triple, which
+makes equality and hashing those of the triple. An operation costs a few
+integer products plus at most one multi-argument gcd, and the gcd is
+skipped when the denominator is 1. There is no floating-point path:
 classification verdicts hinge on exact zero tests, so all arithmetic is
 field arithmetic in Q(i).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 RationalLike = int | Fraction
 
+_tuple_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
-    """An element re + im*I of Q(i); immutable and hashable."""
 
-    re: Fraction
-    im: Fraction
+class GaussianRational(tuple):
+    """An element (a + b*I)/d of Q(i); immutable and hashable.
+
+    The object is the canonical triple (a, b, d) itself, so polynomial
+    kernels unpack it directly, and equality and hashing are the tuple's.
+    GaussianRational(re, im) builds one from ints or Fractions; .re and
+    .im read it back as Fractions. Both operands of an arithmetic operator
+    must be GaussianRational: the other operand is unpacked as a triple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re: RationalLike, im: RationalLike = 0) -> GaussianRational:
+        if type(re) is int and type(im) is int:
+            return _tuple_new(cls, (re, im, 1))
+        re = Fraction(re)
+        im = Fraction(im)
+        dr, di = re.denominator, im.denominator
+        d = dr * di // gcd(dr, di)
+        return _tuple_new(cls, (re.numerator * (d // dr), im.numerator * (d // di), d))
+
+    def __getnewargs__(self) -> tuple[Fraction, Fraction]:
+        return (self.re, self.im)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self[0], self[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self[1], self[2])
 
     def __add__(self, other: GaussianRational) -> GaussianRational:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self
+        c, e, f = other
+        if d == f:
+            return reduced(a + c, b + e, d)
+        return reduced(a * f + c * d, b * f + e * d, d * f)
 
     def __sub__(self, other: GaussianRational) -> GaussianRational:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a, b, d = self
+        c, e, f = other
+        if d == f:
+            return reduced(a - c, b - e, d)
+        return reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __mul__(self, other: GaussianRational) -> GaussianRational:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self
+        c, e, f = other
+        return reduced(a * c - b * e, a * e + b * c, d * f)
+
+    def __rmul__(self, other: object) -> GaussianRational:
+        # Without this, int * GaussianRational would be tuple repetition.
+        raise TypeError(f"cannot multiply {type(other).__name__} by GaussianRational")
 
     def __truediv__(self, other: GaussianRational) -> GaussianRational:
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        n2 = other.re * other.re + other.im * other.im
+        a, b, d = self
+        c, e, f = other
+        n2 = c * c + e * e
         if n2 == 0:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
+        # (a + bI)/d * f/(c + eI) = (a + bI)(c - eI) f / (d (c^2 + e^2))
+        return reduced((a * c + b * e) * f, (b * c - a * e) * f, d * n2)
 
     def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
+        a, b, d = self
+        return _tuple_new(GaussianRational, (-a, -b, d))
 
     def conj(self) -> GaussianRational:
         """Complex conjugate; an involutive field automorphism."""
-        return GaussianRational(self.re, -self.im)
+        a, b, d = self
+        return _tuple_new(GaussianRational, (a, -b, d))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self[0] == 0 and self[1] == 0
 
     def is_one(self) -> bool:
-        return self.re == 1 and self.im == 0
+        return self[0] == 1 and self[1] == 0 and self[2] == 1
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self[1] == 0
 
     def inverse(self) -> GaussianRational:
         return GR_ONE / self
@@ -72,27 +108,39 @@ class GaussianRational:
     def __str__(self) -> str:
         # Renders in the expression grammar: "I" binds like a variable,
         # "*" and "/" are left-associative, so 3/4*I means (3/4)*I.
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            if self.im == 1:
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            if im == 1:
                 return "I"
-            if self.im == -1:
+            if im == -1:
                 return "-I"
-            return f"{self.im}*I"
-        if self.im > 0:
-            imp = "I" if self.im == 1 else f"{self.im}*I"
-            return f"{self.re} + {imp}"
-        imp = "I" if self.im == -1 else f"{-self.im}*I"
-        return f"{self.re} - {imp}"
+            return f"{im}*I"
+        if im > 0:
+            imp = "I" if im == 1 else f"{im}*I"
+            return f"{re} + {imp}"
+        imp = "I" if im == -1 else f"{-im}*I"
+        return f"{re} - {imp}"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+def reduced(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*I)/d in canonical form; d must be positive."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    return _tuple_new(GaussianRational, (a, b, d))
+
+
 def gr(re: RationalLike, im: RationalLike = 0) -> GaussianRational:
     """Convenience constructor from ints or Fractions."""
-    return GaussianRational(Fraction(re), Fraction(im))
+    return GaussianRational(re, im)
 
 
 GR_ZERO = gr(0)

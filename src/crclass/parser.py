@@ -11,6 +11,10 @@ Grammar (ASCII, standard precedence ^ > unary- > * / > + -):
 Identifiers are z1..z<n>, zb1..zb<n>, u1..u<c> and the imaginary unit I.
 Rational literals are written p/q, which the grammar treats as ordinary
 division; all arithmetic is exact so the value is identical.
+
+The parser is recursive descent. Parentheses may nest at most MAX_NESTING
+deep, so that no input can exhaust the interpreter's stack; a chain of
+unary minus signs is read in a loop.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .poly import MultiPoly, VarSpace
 from .ratfunc import RationalExpr
 
 MAX_EXPONENT = 512
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -61,6 +66,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.space = space
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -111,11 +117,15 @@ class _Parser:
                 return e
 
     def unary(self) -> RationalExpr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
+        negate = False
+        while True:
+            kind, value, _ = self.peek()
+            if kind != "op" or value != "-":
+                break
             self.advance()
-            return -self.unary()
-        return self.power()
+            negate = not negate
+        e = self.power()
+        return -e if negate else e
 
     def power(self) -> RationalExpr:
         e = self.atom()
@@ -150,8 +160,12 @@ class _Parser:
             base = {"z": 0, "zb": self.space.n, "u": 2 * self.space.n}[kind_name]
             return RationalExpr.variable(self.space, base + index - 1)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         shown = value if value else "end of input"
         raise ParseError(f"unexpected {shown!r}", pos)

@@ -12,14 +12,15 @@ structurally equal and printing is deterministic.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Literal
+from heapq import heappop, heappush
+from math import gcd, lcm
+from operator import add, mul, sub
+from typing import Literal
 
-from .gaussian import GR_ONE, GaussianRational, gr
+from .gaussian import GR_ONE, GaussianRational, gr, reduced
 
 Monomial = tuple[int, ...]
 
@@ -109,10 +110,62 @@ class VarSpace:
         return m[n : 2 * n] + m[:n] + m[2 * n :]
 
 
-def _grlex_key(m: Monomial) -> tuple[int, Monomial]:
-    # Later slots are the larger variables, so ties are broken by the
-    # reversed exponent vector.
+def _term_key(term: tuple[Monomial, GaussianRational]) -> tuple[int, Monomial]:
+    # Graded lex: later slots are the larger variables, so ties are broken
+    # by the reversed exponent vector.
+    m = term[0]
     return (sum(m), m[::-1])
+
+
+def _grlex_weights(nvars: int, base: int) -> list[int]:
+    # sum(map(mul, m, w)) = deg(m)*base^nvars + sum_i m[i]*base^i is an int
+    # that orders monomials like _term_key, provided every exponent is
+    # below base. It is linear in m, so a product's key is a sum of keys.
+    top = base**nvars
+    return [top + base**i for i in range(nvars)]
+
+
+# -- Gaussian-integer form ---------------------------------------------------
+#
+# Hot loops run on polynomials scaled to Gaussian-integer coefficients: a
+# common denominator and (re, im) int pairs, with no per-operation gcd.
+
+ICoeff = tuple[int, int]
+IPoly = dict[Monomial, ICoeff]
+
+
+def _int_form(terms: tuple[tuple[Monomial, GaussianRational], ...]) -> tuple[int, IPoly]:
+    """(den, ip) with den * p = ip, den the lcm of the denominators."""
+    den = 1
+    for _, (_, _, d) in terms:
+        if d != 1:
+            den = lcm(den, d)
+    if den == 1:
+        return 1, {m: (a, b) for m, (a, b, _) in terms}
+    return den, {m: (a * (den // d), b * (den // d)) for m, (a, b, d) in terms}
+
+
+def _imul(a: IPoly, b: IPoly) -> IPoly:
+    out: IPoly = {}
+    get = out.get
+    for m1, (x1, y1) in a.items():
+        for m2, (x2, y2) in b.items():
+            m = tuple(map(add, m1, m2))
+            re = x1 * x2 - y1 * y2
+            im = x1 * y2 + y1 * x2
+            cur = get(m)
+            if cur is not None:
+                re += cur[0]
+                im += cur[1]
+            out[m] = (re, im)
+    return {m: c for m, c in out.items() if c[0] or c[1]}
+
+
+def _from_int_form(space: VarSpace, ip: IPoly, den: int = 1) -> MultiPoly:
+    """The polynomial ip / den; zero coefficients are dropped."""
+    items = [(m, reduced(re, im, den)) for m, (re, im) in ip.items() if re or im]
+    items.sort(key=_term_key, reverse=True)
+    return MultiPoly(space, tuple(items))
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +180,7 @@ class MultiPoly:
     @staticmethod
     def from_map(space: VarSpace, mapping: dict[Monomial, GaussianRational]) -> MultiPoly:
         items = [(m, cf) for m, cf in mapping.items() if not cf.is_zero()]
-        items.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+        items.sort(key=_term_key, reverse=True)
         return MultiPoly(space, tuple(items))
 
     @staticmethod
@@ -230,17 +283,9 @@ class MultiPoly:
         self._require_same_space(other)
         if self.is_zero() or other.is_zero():
             return MultiPoly.zero(self.space)
-        acc: dict[Monomial, GaussianRational] = {}
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                m = tuple(a + b for a, b in zip(m1, m2))
-                prod = c1 * c2
-                cur = acc.get(m)
-                if cur is None:
-                    acc[m] = prod
-                else:
-                    acc[m] = cur + prod
-        return MultiPoly.from_map(self.space, acc)
+        d1, a = _int_form(self.terms)
+        d2, b = _int_form(other.terms)
+        return _from_int_form(self.space, _imul(a, b), d1 * d2)
 
     def scale(self, factor: GaussianRational) -> MultiPoly:
         if factor.is_zero():
@@ -258,14 +303,17 @@ class MultiPoly:
     # -- calculus / field structure ---------------------------------------
 
     def diff(self, slot: int) -> MultiPoly:
-        acc: dict[Monomial, GaussianRational] = {}
-        for m, cf in self.terms:
+        # Lowering one exponent keeps the grlex order of the surviving terms,
+        # and e * (a + b*I)/d only needs gcd(e, d) to stay canonical.
+        out = []
+        for m, (a, b, d) in self.terms:
             e = m[slot]
             if e == 0:
                 continue
             mm = m[:slot] + (e - 1,) + m[slot + 1 :]
-            acc[mm] = cf * gr(e)
-        return MultiPoly.from_map(self.space, acc)
+            g = gcd(e, d)
+            out.append((mm, reduced(a * (e // g), b * (e // g), d // g)))
+        return MultiPoly(self.space, tuple(out))
 
     def conj(self) -> MultiPoly:
         acc = {
@@ -295,7 +343,14 @@ class MultiPoly:
         return self.scale(inv)
 
     def divexact(self, divisor: MultiPoly) -> MultiPoly:
-        """Exact division; raises ExactDivisionError if it does not divide."""
+        """Exact division; raises ExactDivisionError if it does not divide.
+
+        Division by leading terms on the Gaussian-integer forms. The
+        remainder's leading term comes from a heap of grlex keys instead of
+        a scan of the whole remainder (Monagan & Pearce, "Polynomial
+        division using dynamic arrays, heaps, and packed exponent vectors",
+        CASC 2007).
+        """
         self._require_same_space(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -303,27 +358,77 @@ class MultiPoly:
             return self
         if divisor.is_constant():
             return self.scale(divisor.as_constant().inverse())
-        rem = dict(self.terms)
-        out: dict[Monomial, GaussianRational] = {}
-        g_lm = divisor.leading_monomial()
-        g_lc = divisor.leading_coeff()
-        while rem:
-            m = max(rem, key=_grlex_key)
-            cm = rem[m]
-            qm = tuple(a - b for a, b in zip(m, g_lm))
-            if any(e < 0 for e in qm):
+        f_terms, g_terms = self.terms, divisor.terms
+        g_lm = g_terms[0][0]
+        # Every remainder monomial is at most the dividend's leading one in
+        # grlex, so no exponent exceeds its total degree; nor does any of
+        # the divisor's once its leading monomial divides that one.
+        nv = len(g_lm)
+        base = sum(f_terms[0][0]) + 1
+        top = base**nv
+        weights = _grlex_weights(nv, base)
+        f_den, rem_int = _int_form(f_terms)
+        g_den, g_int = _int_form(g_terms)
+        lx, ly = g_int.pop(g_lm)
+        norm = lx * lx + ly * ly
+        g_key = sum(map(mul, g_lm, weights))
+        # Each other divisor term as (key offset from the leading one, re, im).
+        g_rest = [(sum(map(mul, m, weights)) - g_key, x, y) for m, (x, y) in g_int.items()]
+        # The remainder is rem / scale, with Gaussian-integer values keyed
+        # by grlex key. The dividend's terms come sorted, so the negated
+        # keys already form a heap.
+        rem = {sum(map(mul, m, weights)): c for m, c in rem_int.items()}
+        heap = [-k for k in rem]
+        scale = f_den
+        out = []
+        while heap:
+            k = -heappop(heap)
+            lead = rem.pop(k, None)
+            if lead is None:
+                continue
+            low = k % top
+            m = []
+            for _ in range(nv):
+                low, e = divmod(low, base)
+                m.append(e)
+            qm = tuple(map(sub, m, g_lm))
+            if min(qm) < 0:
                 raise ExactDivisionError("polynomial does not divide exactly")
-            qc = cm / g_lc
-            out[qm] = qc
-            for dm, dc in divisor.terms:
-                mm = tuple(a + b for a, b in zip(qm, dm))
-                cur = rem.get(mm)
-                val = (cur if cur is not None else gr(0)) - qc * dc
-                if val.is_zero():
-                    rem.pop(mm, None)
+            # The quotient term is t / scale * g_den with t = r conj(l) / norm
+            # for the leading values r of the remainder and l of the divisor.
+            # When norm does not divide r conj(l), the remainder is scaled up
+            # so that t and the update below stay integral.
+            rx, ry = lead
+            tx = rx * lx + ry * ly
+            ty = ry * lx - rx * ly
+            if norm != 1:
+                up = norm // gcd(norm, tx, ty)
+                if up != 1:
+                    rem = {key: (x * up, y * up) for key, (x, y) in rem.items()}
+                    scale *= up
+                    tx *= up
+                    ty *= up
+                tx //= norm
+                ty //= norm
+            out.append((qm, reduced(tx * g_den, ty * g_den, scale)))
+            for dk, dx, dy in g_rest:
+                mk = k + dk
+                px = tx * dx - ty * dy
+                py = tx * dy + ty * dx
+                cur = rem.get(mk)
+                if cur is None:
+                    rem[mk] = (-px, -py)
+                    heappush(heap, -mk)
                 else:
-                    rem[mm] = val
-        return MultiPoly.from_map(self.space, out)
+                    nx = cur[0] - px
+                    ny = cur[1] - py
+                    if nx or ny:
+                        rem[mk] = (nx, ny)
+                    else:
+                        del rem[mk]
+        # Leading monomials strictly decrease, so the quotient comes out
+        # sorted.
+        return MultiPoly(self.space, tuple(out))
 
     def __str__(self) -> str:
         from .parser import poly_to_text
@@ -399,24 +504,22 @@ _CERT_ATTEMPTS = 3
 
 
 def _image_coeffs(
-    p: MultiPoly, slot: int, vals: tuple[int, ...]
+    p: IPoly, slot: int, vals: tuple[int, ...]
 ) -> dict[int, GaussianRational]:
-    out: dict[int, GaussianRational] = {}
-    for m, cf in p.terms:
+    """p as a polynomial in one slot, with every other slot set to vals."""
+    out: dict[int, ICoeff] = {}
+    for m, (x, y) in p.items():
         k = 1
         for s, e in enumerate(m):
             if s != slot and e:
                 k *= vals[s] ** e
-        if k != 1:
-            cf = GaussianRational(cf.re * k, cf.im * k)
         e = m[slot]
         cur = out.get(e)
-        nxt = cf if cur is None else cur + cf
-        if nxt.is_zero():
-            out.pop(e, None)
+        if cur is None:
+            out[e] = (x * k, y * k)
         else:
-            out[e] = nxt
-    return out
+            out[e] = (cur[0] + x * k, cur[1] + y * k)
+    return {e: reduced(x, y, 1) for e, (x, y) in out.items() if x or y}
 
 
 def _univ_gcd_degree(
@@ -467,15 +570,19 @@ def _coprimality_scan(f: MultiPoly, g: MultiPoly) -> tuple[bool, int | None]:
         point_sets.append(tuple(rnd.randrange(2, 20) for _ in range(space.nvars)))
     best: tuple[int, int, int] | None = None
     all_zero = True
+    # Scaling by a constant changes neither the images' degrees nor their
+    # gcd's, so the images are taken of the Gaussian-integer forms.
+    f_int = _int_form(f.terms)[1]
+    g_int = _int_form(g.terms)[1]
     for s in shared:
         df = f.degree_in(s)
         dg = g.degree_in(s)
         bound = min(df, dg)
         for vals in point_sets:
-            fi = _image_coeffs(f, s, vals)
+            fi = _image_coeffs(f_int, s, vals)
             if not fi or max(fi) != df:
                 continue
-            d = _univ_gcd_degree(fi, _image_coeffs(g, s, vals))
+            d = _univ_gcd_degree(fi, _image_coeffs(g_int, s, vals))
             if d < bound:
                 bound = d
             if bound == 0:
@@ -491,47 +598,16 @@ def _coprimality_scan(f: MultiPoly, g: MultiPoly) -> tuple[bool, int | None]:
     return False, pivot
 
 
-# The pseudo-remainder loop squares coefficient sizes at every step, so it
-# runs on raw Gaussian-integer pairs: no per-operation Fraction
-# normalisation, and the common integer content is stripped after each step.
-# Pseudo-remainders are only used up to a scalar, which makes both the
-# denominator clearing on entry and the content stripping harmless.
-
-ICoeff = tuple[int, int]
-IPoly = dict[Monomial, ICoeff]
+# The pseudo-remainder loop squares coefficient sizes at every step, so the
+# common integer content is stripped after each step. Pseudo-remainders are
+# only used up to a scalar, which makes both the denominator clearing on
+# entry and the content stripping harmless.
 
 
 def _int_layers(p: MultiPoly, slot: int) -> dict[int, IPoly]:
-    den = 1
-    for _, cf in p.terms:
-        den_c = cf.re.denominator * cf.im.denominator // math.gcd(
-            cf.re.denominator, cf.im.denominator
-        )
-        den = den * den_c // math.gcd(den, den_c)
     out: dict[int, IPoly] = {}
-    for m, cf in p.terms:
-        re = cf.re * den
-        im = cf.im * den
-        mm = m[:slot] + (0,) + m[slot + 1 :]
-        out.setdefault(m[slot], {})[mm] = (re.numerator, im.numerator)
-    return out
-
-
-def _imul(a: IPoly, b: IPoly) -> IPoly:
-    out: IPoly = {}
-    for m1, (x1, y1) in a.items():
-        for m2, (x2, y2) in b.items():
-            m = tuple(i + j for i, j in zip(m1, m2))
-            re = x1 * x2 - y1 * y2
-            im = x1 * y2 + y1 * x2
-            cur = out.get(m)
-            if cur is not None:
-                re += cur[0]
-                im += cur[1]
-            if re or im:
-                out[m] = (re, im)
-            else:
-                out.pop(m, None)
+    for m, c in _int_form(p.terms)[1].items():
+        out.setdefault(m[slot], {})[m[:slot] + (0,) + m[slot + 1 :]] = c
     return out
 
 
@@ -539,7 +615,7 @@ def _istrip(layers: dict[int, IPoly]) -> dict[int, IPoly]:
     g = 0
     for cp in layers.values():
         for re, im in cp.values():
-            g = math.gcd(g, re, im)
+            g = gcd(g, re, im)
             if g == 1:
                 return layers
     if g <= 1:
@@ -569,13 +645,13 @@ def _prem(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
             if e == dg:
                 continue
             shift = e + df - dg
-            sub = _imul(cp, lf)
+            prod = _imul(cp, lf)
             cur = new.get(shift)
             if cur is None:
-                new[shift] = {m: (-re, -im) for m, (re, im) in sub.items()}
+                new[shift] = {m: (-re, -im) for m, (re, im) in prod.items()}
             else:
                 merged = dict(cur)
-                for m, (re, im) in sub.items():
+                for m, (re, im) in prod.items():
                     old = merged.get(m)
                     nre = -re if old is None else old[0] - re
                     nim = -im if old is None else old[1] - im
@@ -585,12 +661,11 @@ def _prem(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
                         merged.pop(m, None)
                 new[shift] = merged
         fu = _istrip({e: cp for e, cp in new.items() if cp})
-    acc: dict[Monomial, GaussianRational] = {}
+    acc: IPoly = {}
     for e, cp in fu.items():
-        for mm, (re, im) in cp.items():
-            m = mm[:slot] + (e,) + mm[slot + 1 :]
-            acc[m] = GaussianRational(Fraction(re), Fraction(im))
-    return MultiPoly.from_map(space, acc)
+        for mm, c in cp.items():
+            acc[mm[:slot] + (e,) + mm[slot + 1 :]] = c
+    return _from_int_form(space, acc)
 
 
 def _primitive_part(p: MultiPoly, slot: int) -> MultiPoly:

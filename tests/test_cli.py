@@ -93,6 +93,17 @@ def test_levi_command(tmp_path, capsys):
     assert doc["kernel"]["freeman"] == "(-1)/(z2*zb2 - 1)"
 
 
+def test_levi_command_n1_has_no_kernel(tmp_path, capsys):
+    # Kernel data belongs to type (2,1) only; a Levi-nondegenerate n = 1
+    # input has Levi rank 1 too.
+    path = write_spec(tmp_path, HEISENBERG)
+    code, out, err = run_cli(capsys, "levi", "--input", path, "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["generic_rank"] == 1
+    assert "kernel" not in doc
+
+
 def test_brackets_command(tmp_path, capsys):
     path = write_spec(tmp_path, HEISENBERG)
     code, out, _ = run_cli(capsys, "brackets", "--input", path)
@@ -176,3 +187,26 @@ def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["nonsense"])
     assert info.value.code == 1
+
+
+def _nested(expr, depth):
+    return "(" * depth + expr + ")" * depth
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    path = write_spec(tmp_path, (1, 1, [_nested("z1*zb1", 250)]))
+    code, out, err = run_cli(capsys, "classify", "--input", path, "--json")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "nested deeper than" in err
+    assert err.count("\n") == 1
+
+
+def test_moderate_nesting_parses(tmp_path, capsys):
+    plain = write_spec(tmp_path, HEISENBERG, name="plain.json")
+    nested = write_spec(tmp_path, (1, 1, [_nested("z1*zb1", 40)]), name="nested.json")
+    code_plain, out_plain, _ = run_cli(capsys, "classify", "--input", plain, "--json")
+    code_nested, out_nested, _ = run_cli(capsys, "classify", "--input", nested, "--json")
+    assert code_plain == code_nested == 0
+    doc_plain, doc_nested = json.loads(out_plain), json.loads(out_nested)
+    assert doc_nested["verdict"] == doc_plain["verdict"]
+    assert doc_nested["input"]["phi"] == doc_plain["input"]["phi"]

@@ -1,6 +1,7 @@
 """Gaussian-rational scalar arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -74,3 +75,63 @@ def test_field_inverse(a):
     if not a.is_zero():
         assert a * a.inverse() == GR_ONE
     assert a.conj().conj() == a
+
+
+# -- the integer-triple form against a Fraction-pair reference ---------------
+
+
+def _ref_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_div(x, y):
+    n2 = y[0] * y[0] + y[1] * y[1]
+    return ((x[0] * y[0] + x[1] * y[1]) / n2, (x[1] * y[0] - x[0] * y[1]) / n2)
+
+
+def _ref_str(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return "I" if im == 1 else "-I" if im == -1 else f"{im}*I"
+    if im > 0:
+        return f"{re} + " + ("I" if im == 1 else f"{im}*I")
+    return f"{re} - " + ("I" if im == -1 else f"{-im}*I")
+
+
+def _assert_canonical(v, ref):
+    a, b, d = v
+    assert d > 0 and gcd(a, b, d) == 1
+    assert (v.re, v.im) == ref
+    twin = GaussianRational(*ref)
+    assert twin == v and hash(twin) == hash(v)
+
+
+@given(scalars, scalars)
+def test_ops_match_fraction_pair_reference(x, y):
+    rx, ry = (x.re, x.im), (y.re, y.im)
+    _assert_canonical(x, rx)
+    _assert_canonical(x + y, (rx[0] + ry[0], rx[1] + ry[1]))
+    _assert_canonical(x - y, (rx[0] - ry[0], rx[1] - ry[1]))
+    _assert_canonical(x * y, _ref_mul(rx, ry))
+    _assert_canonical(-x, (-rx[0], -rx[1]))
+    _assert_canonical(x.conj(), (rx[0], -rx[1]))
+    assert str(x) == _ref_str(*rx)
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        _assert_canonical(x / y, _ref_div(rx, ry))
+        _assert_canonical(y.inverse(), _ref_div((Fraction(1), Fraction(0)), ry))
+        # the same value reached another way has the same triple and hash
+        assert (x * y) / y == x and hash((x * y) / y) == hash(x)
+
+
+def test_zero_and_integer_forms():
+    assert tuple(GR_ZERO) == (0, 0, 1)
+    assert tuple(gr(Fraction(6, 4), Fraction(-1, 6))) == (9, -1, 6)
+    assert tuple(gr(1, 1) - gr(1, 1)) == (0, 0, 1)
+    with pytest.raises(TypeError):
+        2 * gr(1)
+    with pytest.raises(TypeError):
+        gr(1) * 2

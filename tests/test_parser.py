@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crclass.gaussian import gr
-from crclass.parser import ParseError, expr_to_text, parse_constant, parse_expr
+from crclass.parser import (
+    MAX_NESTING,
+    ParseError,
+    expr_to_text,
+    parse_constant,
+    parse_expr,
+)
 from crclass.poly import MultiPoly, VarSpace
 from crclass.ratfunc import RationalExpr
 
@@ -103,3 +109,18 @@ def exprs(draw):
 @settings(max_examples=80, deadline=None)
 def test_round_trip(e):
     assert parse_expr(expr_to_text(e), 2, 1) == e
+
+
+def test_nesting_cap():
+    assert parse_expr("(" * MAX_NESTING + "z1" + ")" * MAX_NESTING, 1, 1) == parse_expr(
+        "z1", 1, 1
+    )
+    deeper = "(" * (MAX_NESTING + 1) + "z1" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError, match="nested deeper than"):
+        parse_expr(deeper, 1, 1)
+
+
+def test_long_unary_minus_chain():
+    z1 = parse_expr("z1", 1, 1)
+    assert parse_expr("-" * 5000 + "z1", 1, 1) == z1
+    assert parse_expr("-" * 5001 + "z1", 1, 1) == -z1

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials over Q(i)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crclass.gaussian import GR_I, GR_ONE, gr
@@ -26,12 +26,14 @@ small_coeffs = st.builds(
     st.integers(min_value=-4, max_value=4),
     st.integers(min_value=-4, max_value=4),
 )
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+rational_coeffs = st.builds(gr, small_fractions, small_fractions)
 exponents = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(5)))
 
 
 @st.composite
-def polys(draw, max_terms=4):
-    terms = draw(st.lists(st.tuples(exponents, small_coeffs), max_size=max_terms))
+def polys(draw, max_terms=4, coeffs=small_coeffs):
+    terms = draw(st.lists(st.tuples(exponents, coeffs), max_size=max_terms))
     acc = MultiPoly.zero(SP)
     for expo, coeff in terms:
         acc = acc + _mono(expo, coeff)
@@ -154,6 +156,41 @@ def test_divexact_inverts_mul(a, b):
     if b.is_zero():
         return
     assert (a * b).divexact(b) == a
+
+
+@given(
+    polys(max_terms=3, coeffs=rational_coeffs),
+    polys(max_terms=3, coeffs=rational_coeffs),
+)
+@settings(max_examples=40, deadline=None)
+def test_divexact_inverts_mul_rational_coefficients(a, b):
+    assume(not b.is_zero())
+    assert (a * b).divexact(b) == a
+
+
+@st.composite
+def below_degree(draw, deg):
+    """A nonzero polynomial of total degree below deg >= 1."""
+    terms = draw(st.lists(st.tuples(exponents, rational_coeffs), max_size=3))
+    acc = MultiPoly.zero(SP)
+    for expo, coeff in terms:
+        if sum(expo) < deg:
+            acc = acc + _mono(expo, coeff)
+    return acc if not acc.is_zero() else MultiPoly.one(SP)
+
+
+@given(
+    polys(max_terms=3, coeffs=rational_coeffs),
+    polys(max_terms=3, coeffs=rational_coeffs),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_divexact_rejects_a_low_degree_remainder(a, b, data):
+    # b divides a*b + r only if it divides r, which needs deg r >= deg b.
+    assume(not b.is_constant())
+    r = data.draw(below_degree(b.total_degree()))
+    with pytest.raises(ExactDivisionError):
+        (a * b + r).divexact(b)
 
 
 @given(polys(max_terms=2), polys(max_terms=2), polys(max_terms=2))
