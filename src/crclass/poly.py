@@ -303,16 +303,14 @@ class MultiPoly:
     # -- calculus / field structure ---------------------------------------
 
     def diff(self, slot: int) -> MultiPoly:
-        # Lowering one exponent keeps the grlex order of the surviving terms,
-        # and e * (a + b*I)/d only needs gcd(e, d) to stay canonical.
+        # Lowering one exponent keeps the grlex order of the surviving terms.
         out = []
         for m, (a, b, d) in self.terms:
             e = m[slot]
             if e == 0:
                 continue
             mm = m[:slot] + (e - 1,) + m[slot + 1 :]
-            g = gcd(e, d)
-            out.append((mm, reduced(a * (e // g), b * (e // g), d // g)))
+            out.append((mm, reduced(a * e, b * e, d)))
         return MultiPoly(self.space, tuple(out))
 
     def conj(self) -> MultiPoly:

@@ -158,16 +158,6 @@ def test_divexact_inverts_mul(a, b):
     assert (a * b).divexact(b) == a
 
 
-@given(
-    polys(max_terms=3, coeffs=rational_coeffs),
-    polys(max_terms=3, coeffs=rational_coeffs),
-)
-@settings(max_examples=40, deadline=None)
-def test_divexact_inverts_mul_rational_coefficients(a, b):
-    assume(not b.is_zero())
-    assert (a * b).divexact(b) == a
-
-
 @st.composite
 def below_degree(draw, deg):
     """A nonzero polynomial of total degree below deg >= 1."""
@@ -185,9 +175,10 @@ def below_degree(draw, deg):
     st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_divexact_rejects_a_low_degree_remainder(a, b, data):
-    # b divides a*b + r only if it divides r, which needs deg r >= deg b.
+def test_divexact_rational_coefficients_and_low_degree_remainder(a, b, data):
     assume(not b.is_constant())
+    assert (a * b).divexact(b) == a
+    # b divides a*b + r only if it divides r, which needs deg r >= deg b.
     r = data.draw(below_degree(b.total_degree()))
     with pytest.raises(ExactDivisionError):
         (a * b + r).divexact(b)
