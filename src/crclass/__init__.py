@@ -34,22 +34,22 @@ from .frames import (
     decompose_in_frame,
     generic_rank,
     lie_bracket,
-    one_form_apply,
+    named_brackets,
     rank_at_point,
     rho0,
-    vf_conj,
 )
 from .gaussian import GaussianRational, gr
 from .levi import (
     KernelData,
+    LeviData,
     freeman,
     is_cr_function,
     k_quotients,
     l1a1_closed_form,
     levi_det,
     levi_det_closed_form,
+    levi_data,
     levi_entries,
-    levi_generic_rank,
     levi_matrix,
     slant_k,
 )
@@ -84,6 +84,7 @@ __all__ = [
     "HullResult",
     "InternalAssertion",
     "KernelData",
+    "LeviData",
     "ManifoldSpec",
     "MultiPoly",
     "NotInSpanError",
@@ -117,14 +118,14 @@ __all__ = [
     "l1a1_closed_form",
     "levi_det",
     "levi_det_closed_form",
+    "levi_data",
     "levi_entries",
-    "levi_generic_rank",
     "levi_matrix",
     "lie_bracket",
     "lie_hull_rank",
     "load_manifold",
     "manifold_from_dict",
-    "one_form_apply",
+    "named_brackets",
     "parse_constant",
     "parse_expr",
     "rank_at_point",
@@ -132,5 +133,4 @@ __all__ = [
     "rho0",
     "slant_k",
     "validate_manifold",
-    "vf_conj",
 ]

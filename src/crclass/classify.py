@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DimensionError, InternalAssertion
+from .errors import DependentFrameError, DimensionError, InternalAssertion
 from .frames import (
     FrameData,
     VectorField,
@@ -21,12 +21,12 @@ from .frames import (
     decompose_in_frame,
     generic_rank,
     lie_bracket,
+    named_brackets,
     rank_at_point,
-    rho0,
 )
-from .gaussian import GR_I, GaussianRational
-from .levi import KernelData, levi_entries, slant_k
-from .linalg import RankCertificate, generic_rank_matrix, rank_at_point_matrix
+from .gaussian import GaussianRational
+from .levi import KernelData, levi_data
+from .linalg import RankCertificate
 from .manifold import ValidatedManifold
 from .ratfunc import RationalExpr
 
@@ -84,6 +84,10 @@ class HullResult:
     ranks_by_depth: tuple[int, ...]
 
 
+# rank labels name the one frame pair of n = 1 without its index
+_RANK_LABELS = {"L1": "L", "Lb1": "Lb"}
+
+
 def _apply_change(
     frame: FrameData,
     matrix: Sequence[Sequence[RationalExpr | GaussianRational]] | None,
@@ -100,8 +104,9 @@ def classify(
     """Run the decision tree for the manifold's (n, c) type.
 
     frame_change optionally post-composes the Cramer frame with a fixed
-    invertible matrix before all rank computations; the verdict is
-    invariant under such changes.
+    invertible matrix before all rank computations, and the kernel data
+    are built from the changed frame; the verdict is invariant under
+    such changes.
     """
     frame = cramer_frame(vm)
     if vm.n == 1:
@@ -109,32 +114,15 @@ def classify(
     return _classify_five_dim_c1(vm, frame, frame_change)
 
 
-def _rank_data(
-    name: str,
-    fields: Sequence[VectorField],
-    coords: tuple[GaussianRational, ...],
-    generic_ranks: dict[str, int],
-    point_ranks: dict[str, int],
-    witnesses: dict[str, RankCertificate],
-) -> int:
-    cert = generic_rank(fields)
-    generic_ranks[name] = cert.rank
-    point_ranks[name] = rank_at_point(fields, coords)
-    witnesses[name] = cert
-    return cert.rank
-
-
-def _observational_d(
-    l: VectorField, lb: VectorField, t: VectorField, lt: VectorField,
-    lbt: VectorField,
-) -> RationalExpr:
-    quad = [l, lb, t, lt]
-    if generic_rank(quad).rank != 4:
+def _observational_d(quad: Sequence[VectorField], lbt: VectorField) -> RationalExpr:
+    """The [Lb,T] coefficient d on [L,T] in the frame {L, Lb, T, [L,T]}."""
+    try:
+        coeffs = decompose_in_frame(lbt, quad)
+    except DependentFrameError as exc:
         raise InternalAssertion(
             "quad frame {L, Lb, T, [L,T]} is not of rank 4 on a Class II / "
             "Class III_2 verdict"
-        )
-    coeffs = decompose_in_frame(lbt, quad)
+        ) from exc
     d = coeffs[3]
     if not (d * d.conj()).is_one():
         raise InternalAssertion("decomposition coefficient d has d*conj(d) != 1")
@@ -147,51 +135,52 @@ def _classify_hypersurface_like(
     frame_change,
 ) -> ClassificationReport:
     fields = _apply_change(frame, frame_change)
-    l = fields[0]
-    lb = l.conj()
-    t = lie_bracket(l, lb).scale(GR_I)
+    tower = named_brackets(fields, [f.conj() for f in fields], vm.c)
     coords = vm.point_coords()
     generic_ranks: dict[str, int] = {}
     point_ranks: dict[str, int] = {}
     witnesses: dict[str, RankCertificate] = {}
-    r = _rank_data("L,Lb,T", [l, lb, t], coords,
-                   generic_ranks, point_ranks, witnesses)
+    names: list[str] = []
+    system: list[VectorField] = []
+
+    def rank(size: int) -> int:
+        """Record the ranks of the first `size` tower members; pull as needed."""
+        while len(system) < size:
+            name, f = next(tower)
+            names.append(_RANK_LABELS.get(name, name))
+            system.append(f)
+        key = ",".join(names)
+        cert = generic_rank(system)
+        generic_ranks[key] = cert.rank
+        point_ranks[key] = rank_at_point(system, coords)
+        witnesses[key] = cert
+        return cert.rank
+
     verdict: str
     obs_d: RationalExpr | None = None
-
+    r = rank(3)
     if vm.c == 1:
         verdict = "ClassI" if r == 3 else "LeviFlat"
     elif r == 2:
         verdict = "LeviFlat"
     else:
-        lt = lie_bracket(l, t)
-        lbt = lie_bracket(lb, t)
-        _rank_data("L,Lb,T,[L,T]", [l, lb, t, lt], coords,
-                   generic_ranks, point_ranks, witnesses)
-        r4 = _rank_data("L,Lb,T,[L,T],[Lb,T]", [l, lb, t, lt, lbt], coords,
-                        generic_ranks, point_ranks, witnesses)
+        rank(4)
+        r4 = rank(5)
         if vm.c == 2:
             if r4 == 4:
                 verdict = "ClassII"
-                obs_d = _observational_d(l, lb, t, lt, lbt)
+                obs_d = _observational_d(system[:4], system[4])
             else:
                 verdict = "DegenerateProduct(M3xR)"
+        elif r4 == 3:
+            verdict = "DegenerateProduct(M3xR2)"
+        elif r4 == 5:
+            verdict = "ClassIII1"
+        elif rank(6) == 5:
+            verdict = "ClassIII2"
+            obs_d = _observational_d(system[:4], system[4])
         else:
-            if r4 == 3:
-                verdict = "DegenerateProduct(M3xR2)"
-            elif r4 == 5:
-                verdict = "ClassIII1"
-            else:
-                llt = lie_bracket(l, lt)
-                r5 = _rank_data(
-                    "L,Lb,T,[L,T],[Lb,T],[L,[L,T]]",
-                    [l, lb, t, lt, lbt, llt], coords,
-                    generic_ranks, point_ranks, witnesses)
-                if r5 == 5:
-                    verdict = "ClassIII2"
-                    obs_d = _observational_d(l, lb, t, lt, lbt)
-                else:
-                    verdict = "DegenerateProduct(M4xR)"
+            verdict = "DegenerateProduct(M4xR)"
 
     sigma = any(point_ranks[k] < generic_ranks[k] for k in generic_ranks)
     certificate = CERTIFICATE_TEXT.get(
@@ -216,29 +205,19 @@ def _classify_five_dim_c1(
 ) -> ClassificationReport:
     if vm.c != 1:
         raise DimensionError("n = 2 requires c = 1")
-    fields = _apply_change(frame, frame_change)
-    rho = rho0(frame)[0]
-    rows = levi_entries(rho, fields)
-    cert = generic_rank_matrix([list(r) for r in rows])
-    coords = vm.point_coords()
-    values = [[e.eval(coords) for e in r] for r in rows]
-    point_rank = rank_at_point_matrix(values)
-    generic_ranks = {"Levi": cert.rank}
-    point_ranks = {"Levi": point_rank}
-    witnesses = {"Levi": cert}
-    kernel: KernelData | None = None
-    if cert.rank == 2:
+    levi = levi_data(vm, frame, _apply_change(frame, frame_change))
+    rank = levi.certificate.rank
+    kernel = levi.kernel
+    if rank == 2:
         verdict = "ClassIV1"
-    elif cert.rank == 0:
+    elif rank == 0:
         verdict = "LeviFlat"
     else:
-        kernel = slant_k(vm, frame)
+        assert kernel is not None
         verdict = (
             "DegenerateProduct(M3xC)" if kernel.freeman.is_zero() else "ClassIV2"
         )
-    sigma = point_rank < cert.rank
     if verdict == "ClassIV2":
-        assert kernel is not None
         at_point = kernel.freeman_at_point
         if at_point is None:
             note = "freeman value at the base point: pole"
@@ -253,11 +232,11 @@ def _classify_five_dim_c1(
         )
     return ClassificationReport(
         verdict=verdict,
-        generic_ranks=generic_ranks,
-        point_ranks=point_ranks,
-        witnesses=witnesses,
+        generic_ranks={"Levi": rank},
+        point_ranks={"Levi": levi.point_rank},
+        witnesses={"Levi": levi.certificate},
         kernel=kernel,
-        sigma_flag=sigma,
+        sigma_flag=levi.point_rank < rank,
         observational_d=None,
         certificate=certificate,
     )

@@ -20,10 +20,9 @@ from .classify import (
     lie_hull_rank,
 )
 from .errors import InternalAssertion, ValidationError
-from .frames import FrameData, cramer_frame, lie_bracket, rho0
-from .gaussian import GR_I
-from .levi import levi_entries, levi_generic_rank, slant_k
-from .linalg import det_expr, generic_rank_matrix, rank_at_point_matrix
+from .frames import cramer_frame, named_brackets, rho0
+from .levi import levi_data
+from .linalg import det_expr
 from .manifold import (
     ManifoldSpec,
     ValidatedManifold,
@@ -211,64 +210,37 @@ def _run_frame(vm: ValidatedManifold, config: RunConfig) -> None:
 
 def _run_levi(vm: ValidatedManifold, config: RunConfig) -> None:
     frame = cramer_frame(vm)
-    rho = rho0(frame)[0]
-    rows = levi_entries(rho, frame.L)
-    det = det_expr([list(r) for r in rows])
-    cert = generic_rank_matrix([list(r) for r in rows])
-    coords = vm.point_coords()
-    point_rank = rank_at_point_matrix([[e.eval(coords) for e in r] for r in rows])
-    # Kernel data exists only on the five-dimensional type (2,1).
-    kernel = slant_k(vm, frame) if cert.rank == 1 and (vm.n, vm.c) == (2, 1) else None
+    levi = levi_data(vm, frame, frame.L)
+    det = det_expr(levi.rows)
     if config.json_output:
         doc = {
             "input": vm.input_dict(),
-            "matrix": [[expr_to_text(e) for e in r] for r in rows],
+            "matrix": [[expr_to_text(e) for e in r] for r in levi.rows],
             "determinant": expr_to_text(det),
-            "generic_rank": cert.rank,
-            "rank_at_point": point_rank,
+            "generic_rank": levi.certificate.rank,
+            "rank_at_point": levi.point_rank,
         }
-        if kernel is not None:
-            doc["kernel"] = kernel.to_dict()
+        if levi.kernel is not None:
+            doc["kernel"] = levi.kernel.to_dict()
         _emit(doc)
         return
     _print_warnings(vm)
     print("Levi matrix, entry(r,c) = rho0(i[L_c, Lb_r]):")
-    for r in rows:
+    for r in levi.rows:
         print("  [" + ", ".join(expr_to_text(e) for e in r) + "]")
     print(f"determinant: {expr_to_text(det)}")
-    print(f"generic rank: {cert.rank}, rank at base point: {point_rank}")
-    if kernel is not None:
-        _print_kernel(kernel)
-
-
-def _named_bracket_fields(vm: ValidatedManifold, frame: FrameData) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for i, f in enumerate(frame.L):
-        out[f"L{i + 1}"] = f.render()
-    for i, f in enumerate(frame.Lbar):
-        out[f"Lb{i + 1}"] = f.render()
-    if vm.n == 1:
-        l, lb = frame.L[0], frame.Lbar[0]
-        t = lie_bracket(l, lb).scale(GR_I)
-        out["T"] = t.render()
-        if vm.c >= 2:
-            lt = lie_bracket(l, t)
-            lbt = lie_bracket(lb, t)
-            out["[L,T]"] = lt.render()
-            out["[Lb,T]"] = lbt.render()
-            if vm.c == 3:
-                out["[L,[L,T]]"] = lie_bracket(l, lt).render()
-    else:
-        for r in range(vm.n):
-            for c in range(vm.n):
-                br = lie_bracket(frame.L[c], frame.Lbar[r]).scale(GR_I)
-                out[f"i[L{c + 1},Lb{r + 1}]"] = br.render()
-    return out
+    print(
+        f"generic rank: {levi.certificate.rank}, rank at base point: {levi.point_rank}"
+    )
+    if levi.kernel is not None:
+        _print_kernel(levi.kernel)
 
 
 def _run_brackets(vm: ValidatedManifold, config: RunConfig) -> None:
     frame = cramer_frame(vm)
-    fields = _named_bracket_fields(vm, frame)
+    fields = {
+        name: f.render() for name, f in named_brackets(frame.L, frame.Lbar, vm.c)
+    }
     if config.json_output:
         _emit({"input": vm.input_dict(), "fields": fields})
         return

@@ -29,7 +29,9 @@ class FrameSingularError(ValidationError):
 
 
 class DependentFrameError(ValidationError):
-    """No row choice makes the frame decomposition system invertible."""
+    """Frame fields are generically dependent: a frame-change matrix is
+    singular, or fields to decompose against have generic rank below
+    their count."""
 
 
 class NotInSpanError(ValueError):

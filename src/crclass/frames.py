@@ -14,18 +14,17 @@ equations to first order along M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import DependentFrameError, FrameSingularError, NotInSpanError
-from .gaussian import GR_I, GR_ONE, GaussianRational
+from .gaussian import GR_I, GaussianRational
 from .linalg import (
     RankCertificate,
     det_expr,
     generic_rank_matrix,
     rank_at_point_matrix,
 )
-from .manifold import ValidatedManifold
+from .manifold import ValidatedManifold, cramer_system
 from .parser import expr_to_text
 from .poly import VarSpace
 from .ratfunc import RationalExpr
@@ -139,10 +138,6 @@ def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     return VectorField(space, tuple(out))
 
 
-def vf_conj(x: VectorField) -> VectorField:
-    return x.conj()
-
-
 @dataclass(frozen=True, slots=True)
 class FrameData:
     """The tangential frame of a validated manifold."""
@@ -156,12 +151,7 @@ class FrameData:
 def cramer_frame(vm: ValidatedManifold) -> FrameData:
     space = vm.space
     n, c = vm.n, vm.c
-    i_const = RationalExpr.const(space, GR_I)
-    system = []
-    for j in range(c):
-        row = [vm.phi[j].diff(space.u_slot(l)) for l in range(c)]
-        row[j] = row[j] + i_const
-        system.append(row)
+    system = cramer_system(vm)
     den = det_expr(system)
     if den.is_zero():
         raise FrameSingularError("det(i*I + Phi_u) vanishes identically")
@@ -209,13 +199,39 @@ def rho0(frame: FrameData) -> tuple[OneForm, ...]:
     return tuple(forms)
 
 
-def one_form_apply(form: OneForm, field: VectorField) -> RationalExpr:
-    return form.apply(field)
-
-
 def characteristic_field(frame: FrameData) -> VectorField:
     """T = i[L_1, Lbar_1]; real whenever n = 1."""
     return lie_bracket(frame.L[0], frame.Lbar[0]).scale(GR_I)
+
+
+def named_brackets(
+    L: Sequence[VectorField], Lbar: Sequence[VectorField], c: int
+) -> Iterator[tuple[str, VectorField]]:
+    """The frame and the brackets the decision tree reads, in order, lazily.
+
+    n = 1: L1, Lb1, T = i[L,Lb], then [L,T] and [Lb,T] when c >= 2 and
+    [L,[L,T]] when c = 3. n = 2: L1, L2, Lb1, Lb2, then i[L_c, Lb_r] row
+    by row (r outer), the brackets the Levi entries pair with rho0.
+    Each bracket is taken only when the consumer asks for it.
+    """
+    for i, f in enumerate(L):
+        yield f"L{i + 1}", f
+    for i, f in enumerate(Lbar):
+        yield f"Lb{i + 1}", f
+    if len(L) == 1:
+        l, lb = L[0], Lbar[0]
+        t = lie_bracket(l, lb).scale(GR_I)
+        yield "T", t
+        if c >= 2:
+            lt = lie_bracket(l, t)
+            yield "[L,T]", lt
+            yield "[Lb,T]", lie_bracket(lb, t)
+            if c == 3:
+                yield "[L,[L,T]]", lie_bracket(l, lt)
+        return
+    for r, lb in enumerate(Lbar):
+        for col, l in enumerate(L):
+            yield f"i[L{col + 1},Lb{r + 1}]", lie_bracket(l, lb).scale(GR_I)
 
 
 def field_matrix(fields: Sequence[VectorField]) -> list[list[RationalExpr]]:
@@ -246,39 +262,33 @@ def decompose_in_frame(
 ) -> tuple[RationalExpr, ...]:
     """Coefficients lambda with target = sum lambda_k fields[k], exactly.
 
-    Picks the lexicographically first set of coordinate rows whose square
-    subsystem is invertible, solves by Cramer, and verifies the residual
-    vanishes in every remaining row.
+    Solves by Cramer on the coordinate rows of the generic_rank witness
+    minor and verifies that the residual vanishes in every row. The
+    coefficients are unique, so the choice of rows cannot show in them.
     """
-    space = target.space
     k = len(fields)
     if k == 0:
         if target.is_zero():
             return ()
         raise NotInSpanError("nonzero field cannot be decomposed in an empty frame")
+    cert = generic_rank(fields)
+    if cert.rank < k:
+        raise DependentFrameError("frame fields are generically dependent")
     mat = field_matrix(fields)
-    nrows = space.nvars
-    if k > nrows:
-        raise DependentFrameError("more frame fields than coordinate directions")
-    for rows in combinations(range(nrows), k):
-        sub = [[mat[r][j] for j in range(k)] for r in rows]
-        den = det_expr(sub)
-        if den.is_zero():
-            continue
-        lams = []
-        for j in range(k):
-            replaced = [
-                [target.coeffs[rows[r_pos]] if col == j else sub[r_pos][col] for col in range(k)]
-                for r_pos in range(k)
-            ]
-            lams.append(det_expr(replaced) / den)
-        residual = target
-        for lam, f in zip(lams, fields):
-            residual = residual - f.scale(lam)
-        if not residual.is_zero():
-            raise NotInSpanError("target field is not in the span of the frame")
-        return tuple(lams)
-    raise DependentFrameError("frame fields are generically dependent")
+    den = det_expr([mat[r] for r in cert.rows])
+    lams = []
+    for j in range(k):
+        replaced = [
+            [target.coeffs[r] if col == j else mat[r][col] for col in range(k)]
+            for r in cert.rows
+        ]
+        lams.append(det_expr(replaced) / den)
+    residual = target
+    for lam, f in zip(lams, fields):
+        residual = residual - f.scale(lam)
+    if not residual.is_zero():
+        raise NotInSpanError("target field is not in the span of the frame")
+    return tuple(lams)
 
 
 def change_frame(
@@ -296,7 +306,7 @@ def change_frame(
         rows.append(conv)
     if len(rows) != len(fields) or any(len(r) != len(fields) for r in rows):
         raise ValueError("frame-change matrix must be square of matching size")
-    if det_expr(rows).is_zero():
+    if generic_rank_matrix(rows).rank < len(rows):
         raise DependentFrameError("frame-change matrix is singular")
     out = []
     for row in rows:

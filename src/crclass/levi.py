@@ -13,6 +13,7 @@ Sign convention: the engine value of kappa0([K, Lbar_1]) works out to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 from .errors import DimensionError, InternalAssertion, RankMismatchError
@@ -23,12 +24,12 @@ from .frames import (
     change_frame,
     cramer_frame,
     lie_bracket,
+    named_brackets,
     rho0,
 )
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr
-from .linalg import det_expr
+from .linalg import RankCertificate, det_expr, generic_rank_matrix, rank_at_point_matrix
 from .manifold import ValidatedManifold
-from .poly import VarSpace
 from .ratfunc import PoleError, RationalExpr
 
 LeviRows = tuple[tuple[RationalExpr, ...], ...]
@@ -49,15 +50,11 @@ ADJUST_CANDIDATES: tuple[ConstMatrix, ...] = (
 def levi_entries(rho: OneForm, fields: Sequence[VectorField]) -> LeviRows:
     """entry(r, c) = rho(i*[fields[c], conj(fields[r])])."""
     n = len(fields)
-    conjs = [f.conj() for f in fields]
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            br = lie_bracket(fields[c], conjs[r]).scale(GR_I)
-            row.append(rho.apply(br))
-        rows.append(tuple(row))
-    return tuple(rows)
+    # past the 2n frame members, the tower for c = 1 is exactly the n*n
+    # brackets i[L_c, Lb_r], row by row
+    tower = named_brackets(fields, [f.conj() for f in fields], 1)
+    values = [rho.apply(br) for _, br in islice(tower, 2 * n, None)]
+    return tuple(tuple(values[r * n:(r + 1) * n]) for r in range(n))
 
 
 def levi_matrix(
@@ -70,17 +67,6 @@ def levi_matrix(
         frame = cramer_frame(vm)
     rho = rho0(frame)[0]
     return levi_entries(rho, frame.L)
-
-
-def levi_generic_rank(rows: LeviRows) -> int:
-    size = len(rows)
-    if size == 1:
-        return 0 if rows[0][0].is_zero() else 1
-    if not det_expr([list(r) for r in rows]).is_zero():
-        return size
-    if any(not e.is_zero() for r in rows for e in r):
-        return 1
-    return 0
 
 
 def levi_det(vm: ValidatedManifold, frame: FrameData | None = None) -> RationalExpr:
@@ -200,30 +186,14 @@ def k_quotients(
     return main, holo, anti
 
 
-def _const_expr_matrix(
-    space: VarSpace, m: ConstMatrix
-) -> list[list[RationalExpr]]:
-    return [[RationalExpr.const(space, v) for v in row] for row in m]
-
-
-def _inverse_transpose_2(m: ConstMatrix) -> ConstMatrix:
-    a, b = m[0]
-    c, d = m[1]
-    det = a * d - b * c
-    if det.is_zero():
-        raise InternalAssertion("frame adjustment matrix is singular")
-    inv = det.inverse()
-    # (M^{-1})^T rows
-    return ((d * inv, -c * inv), (-b * inv, a * inv))
-
-
 @dataclass(frozen=True, slots=True)
 class KernelData:
     """Levi-kernel generator data for generic rank 1 on (2,1) manifolds.
 
-    The working frame is fields = frame_adjust applied to the Cramer
-    frame; k = -entry(1,2)/entry(1,1) there, K = k*fields[0] + fields[1],
-    kappa0 is the dual coframe combination vanishing on K, conj(K), and
+    The working frame is fields = frame_adjust applied to the frame the
+    ranks were read from; k = -entry(1,2)/entry(1,1) there,
+    K = k*fields[0] + fields[1], kappa0 is the combination of the coframe
+    dual to the z-parts of fields that vanishes on K, conj(K), and
     conj(fields[0]), and freeman = kappa0([K, conj(fields[0])]).
     """
 
@@ -260,33 +230,70 @@ class KernelData:
         }
 
 
+@dataclass(frozen=True, slots=True)
+class LeviData:
+    """Levi rows of a set of frame fields and everything read from them."""
+
+    rows: LeviRows
+    certificate: RankCertificate
+    point_rank: int
+    kernel: KernelData | None
+
+
+def levi_data(
+    vm: ValidatedManifold, frame: FrameData, fields: Sequence[VectorField]
+) -> LeviData:
+    """Levi rows of fields against rho0_1 of frame, their generic rank
+    certificate, the rank at the base point, and, on type (2,1) at
+    generic rank 1, the kernel data built from the same fields.
+    """
+    rho = rho0(frame)[0]
+    rows = levi_entries(rho, fields)
+    cert = generic_rank_matrix(rows)
+    coords = vm.point_coords()
+    point_rank = rank_at_point_matrix([[e.eval(coords) for e in r] for r in rows])
+    kernel = None
+    if cert.rank == 1 and (vm.n, vm.c) == (2, 1):
+        kernel = _kernel_data(vm, rho, fields, rows)
+    return LeviData(rows, cert, point_rank, kernel)
+
+
 def slant_k(
     vm: ValidatedManifold, frame: FrameData | None = None
 ) -> KernelData:
     """Kernel generator K = k*L_1 + L_2 for generic Levi rank exactly 1.
 
-    If entry(1,1) vanishes identically, applies the first member of
-    ADJUST_CANDIDATES that makes it nonzero and records that matrix;
-    otherwise records the identity.
+    Reads levi_data on the frame (the Cramer frame by default).
     """
     if (vm.n, vm.c) != (2, 1):
         raise DimensionError("kernel data needs n = 2, c = 1")
     if frame is None:
         frame = cramer_frame(vm)
-    rho = rho0(frame)[0]
-    base_rows = levi_entries(rho, frame.L)
-    rank = levi_generic_rank(base_rows)
-    if rank != 1:
+    data = levi_data(vm, frame, frame.L)
+    if data.kernel is None:
         raise RankMismatchError(
-            f"kernel data needs generic Levi rank 1, found {rank}"
+            f"kernel data needs generic Levi rank 1, found {data.certificate.rank}"
         )
+    return data.kernel
+
+
+def _kernel_data(
+    vm: ValidatedManifold,
+    rho: OneForm,
+    fields: Sequence[VectorField],
+    rows: LeviRows,
+) -> KernelData:
+    """Kernel data of fields, whose Levi rows have generic rank 1.
+
+    If entry(1,1) vanishes identically, applies the first member of
+    ADJUST_CANDIDATES that makes it nonzero and records that matrix;
+    otherwise records the identity.
+    """
     space = vm.space
-    fields = tuple(frame.L)
-    rows = base_rows
     adjust = IDENTITY_2
     if rows[0][0].is_zero():
         for cand in ADJUST_CANDIDATES:
-            new_fields = change_frame(frame.L, _const_expr_matrix(space, cand))
+            new_fields = change_frame(fields, cand)
             new_rows = levi_entries(rho, new_fields)
             if not new_rows[0][0].is_zero():
                 fields, rows, adjust = new_fields, new_rows, cand
@@ -300,12 +307,15 @@ def slant_k(
     big_k = fields[0].scale(k) + fields[1]
     if not (rows[1][0] * k + rows[1][1]).is_zero():
         raise InternalAssertion("kernel membership failed in the second Levi row")
-    nt = _inverse_transpose_2(adjust)
+    # kappa0 = zeta^1 - k*zeta^2 for the coframe zeta dual to the z-parts
+    # Z of the fields (invertible: change_frame admits no singular matrix);
+    # zeta^i has z-coefficients row i of (Z^-1)^T = cofactors / det Z
+    z = [[f.coeffs[space.z_slot(col)] for col in range(2)] for f in fields]
+    inv = det_expr(z).inverse()
+    zeta = ((z[1][1], -z[1][0]), (-z[0][1], z[0][0]))
     coeffs = [RationalExpr.zero(space)] * space.nvars
     for col in range(2):
-        zeta1 = RationalExpr.const(space, nt[0][col])
-        zeta2 = RationalExpr.const(space, nt[1][col])
-        coeffs[space.z_slot(col)] = zeta1 - k * zeta2
+        coeffs[space.z_slot(col)] = (zeta[0][col] - k * zeta[1][col]) * inv
     kappa0 = OneForm(space, tuple(coeffs))
     lbar1 = fields[0].conj()
     if not kappa0.apply(big_k).is_zero():

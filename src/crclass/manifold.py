@@ -20,7 +20,7 @@ from .errors import (
     RealityError,
     ValidationError,
 )
-from .gaussian import GR_I, GR_ONE, GaussianRational, gr
+from .gaussian import GR_I, GaussianRational, gr
 from .parser import expr_to_text, parse_constant, parse_expr
 from .poly import VarSpace
 from .ratfunc import PoleError, RationalExpr
@@ -154,11 +154,15 @@ def load_manifold(path: str) -> ManifoldSpec:
     return manifold_from_dict(data)
 
 
-def _phi_u_matrix(spec: ManifoldSpec) -> list[list[RationalExpr]]:
+def cramer_system(spec: ManifoldSpec | ValidatedManifold) -> list[list[RationalExpr]]:
+    """The c x c matrix i*I_c + Phi_u of the Cramer solve for the frame."""
     space = VarSpace(spec.n, spec.c)
+    i_const = RationalExpr.const(space, GR_I)
     rows = []
     for j in range(spec.c):
-        rows.append([spec.phi[j].diff(space.u_slot(l)) for l in range(spec.c)])
+        row = [spec.phi[j].diff(space.u_slot(l)) for l in range(spec.c)]
+        row[j] = row[j] + i_const
+        rows.append(row)
     return rows
 
 
@@ -166,12 +170,7 @@ def cramer_denominator(spec: ManifoldSpec | ValidatedManifold) -> RationalExpr:
     """det(i*I_c + Phi_u), the shared denominator of the frame coefficients."""
     from .linalg import det_expr
 
-    space = VarSpace(spec.n, spec.c)
-    rows = _phi_u_matrix(spec)  # type: ignore[arg-type]
-    i_const = RationalExpr.const(space, GR_I)
-    for j in range(spec.c):
-        rows[j][j] = rows[j][j] + i_const
-    return det_expr(rows)
+    return det_expr(cramer_system(spec))
 
 
 def validate_manifold(spec: ManifoldSpec) -> ValidatedManifold:

@@ -188,12 +188,12 @@ class RationalExpr:
         return RationalExpr.make(a * c, b * d, reduced=True, hints=hints)
 
     def __truediv__(self, other: RationalExpr) -> RationalExpr:
-        if other.is_zero():
+        return self * other.inverse()
+
+    def inverse(self) -> RationalExpr:
+        if self.is_zero():
             raise ZeroDivisionError("division by the zero expression")
-        flip = RationalExpr.make(
-            other.den, other.num, reduced=True, hints=other.hints
-        )
-        return self * flip
+        return RationalExpr.make(self.den, self.num, reduced=True, hints=self.hints)
 
     def scale(self, factor: GaussianRational) -> RationalExpr:
         return RationalExpr(self.num.scale(factor), self.den, self.hints)

@@ -20,6 +20,7 @@ from crclass.classify import (
     classify,
     lie_hull_rank,
 )
+from crclass.frames import change_frame, cramer_frame
 from crclass.gaussian import gr
 
 VERDICT_CASES = [
@@ -135,14 +136,21 @@ FRAME_CHANGES = {
 
 @pytest.mark.parametrize(
     "spec",
-    [HEISENBERG, BELOSHAPKA, MODEL_III2, SPHERE, LIGHT_CONE_TUBE, PRODUCT_M3XC],
-    ids=["heis", "belo", "iii2", "sphere", "tube", "m3xc"],
+    [HEISENBERG, BELOSHAPKA, MODEL_III2, SPHERE, LIGHT_CONE_TUBE, PRODUCT_M3XC,
+     SUM_SQUARE],
+    ids=["heis", "belo", "iii2", "sphere", "tube", "m3xc", "sumsq"],
 )
 def test_verdict_invariant_under_constant_frame_change(spec):
     vm = build(*spec)
     base = classify(vm).verdict
     for m in FRAME_CHANGES[vm.n]:
-        assert classify(vm, frame_change=m).verdict == base
+        report = classify(vm, frame_change=m)
+        assert report.verdict == base
+        if report.kernel is not None:
+            # kernel data belong to the frame the ranks were read from
+            changed = change_frame(cramer_frame(vm).L, m)
+            want = change_frame(changed, report.kernel.frame_adjust)
+            assert report.kernel.fields == want
 
 
 def test_hull_tables():

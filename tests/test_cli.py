@@ -1,12 +1,53 @@
 """Command-line interface: text output, JSON reports, exit codes."""
 
+import contextlib
+import importlib.util
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
 import crclass.cli as cli
-from conftest import HEISENBERG, LIGHT_CONE_TUBE, MODEL_III2
+from conftest import (
+    BELOSHAPKA,
+    CUBIC_III1,
+    FLAT_11,
+    HEISENBERG,
+    LIGHT_CONE_TUBE,
+    MODEL_III2,
+    PRODUCT_M3XC,
+    SPHERE,
+    SUM_SQUARE,
+)
 from crclass.errors import InternalAssertion
+
+REPO = Path(__file__).resolve().parents[1]
+
+GOLDEN_MODELS = {
+    "heisenberg": HEISENBERG,
+    "flat": FLAT_11,
+    "beloshapka": BELOSHAPKA,
+    "cubic_iii1": CUBIC_III1,
+    "model_iii2": MODEL_III2,
+    "sphere": SPHERE,
+    "tube": LIGHT_CONE_TUBE,
+    "product": PRODUCT_M3XC,
+    "sum_square": SUM_SQUARE,
+}
+
+GOLDEN_COMMANDS = (
+    ("classify",),
+    ("classify", "--json"),
+    ("frame", "--json"),
+    ("levi",),
+    ("levi", "--json"),
+    ("brackets",),
+    ("brackets", "--json"),
+    ("hull", "--depth", "2"),
+)
 
 
 def write_spec(tmp_path, spec, name="m.json", point=None):
@@ -210,3 +251,57 @@ def test_moderate_nesting_parses(tmp_path, capsys):
     doc_plain, doc_nested = json.loads(out_plain), json.loads(out_nested)
     assert doc_nested["verdict"] == doc_plain["verdict"]
     assert doc_nested["input"]["phi"] == doc_plain["input"]["phi"]
+
+
+def golden_outputs(directory):
+    """Stdout of every golden model under every golden command."""
+    out = {}
+    for name, spec in GOLDEN_MODELS.items():
+        path = write_spec(Path(directory), spec, name=f"{name}.json")
+        for argv in GOLDEN_COMMANDS:
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                code = cli.main([argv[0], "--input", path, *argv[1:]])
+            assert code == 0, (name, argv)
+            out.setdefault(name, {})[" ".join(argv)] = buf.getvalue()
+    return out
+
+
+def test_stdout_matches_golden(tmp_path):
+    """Byte-exact stdout of the nine named models under eight commands.
+
+    tests/data/cli_golden.json pins these bytes across commits; it is
+    regenerated only for an intended change of output, from the repo root:
+
+        PYTHONPATH=src python tests/test_cli.py > tests/data/cli_golden.json
+    """
+    want = json.loads((REPO / "tests" / "data" / "cli_golden.json").read_text("utf-8"))
+    got = golden_outputs(tmp_path)
+    assert sorted(got) == sorted(want)
+    for name, outputs in want.items():
+        assert sorted(got[name]) == sorted(outputs)
+        for command, text in outputs.items():
+            assert got[name][command] == text, f"{name}: {command}"
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer wraps these names by getattr; one that a
+    # refactor drops would only surface in a traced benchmark run.
+    path = REPO / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for module_name, attr, _span in tracing.TARGETS:
+        module = sys.modules[module_name]
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
+        else:
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        json.dump(golden_outputs(scratch), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")

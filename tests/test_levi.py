@@ -23,10 +23,10 @@ from crclass.levi import (
     levi_det,
     levi_det_closed_form,
     levi_entries,
-    levi_generic_rank,
     levi_matrix,
     slant_k,
 )
+from crclass.linalg import generic_rank_matrix
 from crclass.poly import MultiPoly, VarSpace
 from crclass.ratfunc import RationalExpr
 
@@ -35,7 +35,7 @@ def test_heisenberg_levi_is_two():
     vm = build(1, 1, ["z1*zb1"])
     rows = levi_matrix(vm)
     assert rows[0][0] == pe("2", 1, 1)
-    assert levi_generic_rank(rows) == 1
+    assert generic_rank_matrix(rows).rank == 1
 
 
 def test_sphere_levi_identity():
@@ -46,7 +46,7 @@ def test_sphere_levi_identity():
             want = "2" if r == c else "0"
             assert rows[r][c] == pe(want, 2, 1)
     assert levi_det(vm) == pe("4", 2, 1)
-    assert levi_generic_rank(rows) == 2
+    assert generic_rank_matrix(rows).rank == 2
 
 
 def test_rigid_levi_entries_are_second_derivatives():
