@@ -10,6 +10,7 @@ exceptional locus where some rank drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Sequence
 
 from .errors import DependentFrameError, DimensionError, InternalAssertion
@@ -77,6 +78,12 @@ class ClassificationReport:
     certificate: str
 
 
+# The deepest bracket depth lie_hull_rank tabulates. The rank grows at every
+# depth until it stops for good and cannot pass 2n + c, so it is constant
+# from depth c + 1 on; deeper tables only repeat it.
+MAX_HULL_DEPTH = 64
+
+
 @dataclass(frozen=True, slots=True)
 class HullResult:
     rank: int
@@ -86,6 +93,7 @@ class HullResult:
 
 # rank labels name the one frame pair of n = 1 without its index
 _RANK_LABELS = {"L1": "L", "Lb1": "Lb"}
+_QUAD = "L,Lb,T,[L,T]"
 
 
 def _apply_change(
@@ -114,10 +122,15 @@ def classify(
     return _classify_five_dim_c1(vm, frame, frame_change)
 
 
-def _observational_d(quad: Sequence[VectorField], lbt: VectorField) -> RationalExpr:
-    """The [Lb,T] coefficient d on [L,T] in the frame {L, Lb, T, [L,T]}."""
+def _observational_d(
+    quad: Sequence[VectorField], lbt: VectorField, witness: RankCertificate
+) -> RationalExpr:
+    """The [Lb,T] coefficient d on [L,T] in the frame {L, Lb, T, [L,T]}.
+
+    witness is the tree's rank certificate of the quad.
+    """
     try:
-        coeffs = decompose_in_frame(lbt, quad)
+        coeffs = decompose_in_frame(lbt, quad, witness)
     except DependentFrameError as exc:
         raise InternalAssertion(
             "quad frame {L, Lb, T, [L,T]} is not of rank 4 on a Class II / "
@@ -169,7 +182,7 @@ def _classify_hypersurface_like(
         if vm.c == 2:
             if r4 == 4:
                 verdict = "ClassII"
-                obs_d = _observational_d(system[:4], system[4])
+                obs_d = _observational_d(system[:4], system[4], witnesses[_QUAD])
             else:
                 verdict = "DegenerateProduct(M3xR)"
         elif r4 == 3:
@@ -178,7 +191,7 @@ def _classify_hypersurface_like(
             verdict = "ClassIII1"
         elif rank(6) == 5:
             verdict = "ClassIII2"
-            obs_d = _observational_d(system[:4], system[4])
+            obs_d = _observational_d(system[:4], system[4], witnesses[_QUAD])
         else:
             verdict = "DegenerateProduct(M4xR)"
 
@@ -245,32 +258,50 @@ def _classify_five_dim_c1(
 def lie_hull_rank(vm: ValidatedManifold, max_depth: int = 4) -> HullResult:
     """Generic rank of iterated brackets of the frame, depth by depth.
 
-    Depth 1 is {L_i, conj(L_i)}; depth d+1 adds brackets of the depth-1
-    generators against the newest layer, all depths up to max_depth.
-    stabilized_at is the depth where the final constant plateau of the
-    rank table starts, provided it starts before max_depth (a witness of
-    stabilization, not a proof for arbitrary inputs); None otherwise.
+    Depth 1 is {L_i, conj(L_i)}; depth d+1 adds the brackets of these
+    generators against the depth-d brackets. The probe keeps a basis of
+    independent fields instead of every bracket. By Leibniz,
+    [g, sum f_k X_k] = sum g(f_k) X_k + sum f_k [g, X_k], so the span at
+    depth d+1 is the span at depth d plus the brackets of the generators
+    with the fields depth d added to the basis; a bracket joins the basis
+    only when it raises the generic rank. The ranks therefore equal those
+    of the full bracket tables.
+
+    Once the rank reaches 2n + c, or a depth adds no field, the span is
+    the same at every later depth, so the remaining depths repeat the
+    rank without bracketing. For the same reason stabilized_at, the depth
+    where the final constant plateau of the rank table starts when that
+    is before max_depth (None otherwise), is a proof of stabilization:
+    the plateau means some depth added nothing.
     """
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
+    if not 1 <= max_depth <= MAX_HULL_DEPTH:
+        raise ValueError(f"max_depth must be between 1 and {MAX_HULL_DEPTH}")
     frame = cramer_frame(vm)
     gens = list(frame.L) + list(frame.Lbar)
-    seen: set[VectorField] = set(gens)
-    accumulated: list[VectorField] = list(gens)
-    layer = list(gens)
-    ranks = [generic_rank(accumulated).rank]
-    for _depth in range(2, max_depth + 1):
-        new_layer = []
-        for g in gens:
-            for y in layer:
-                br = lie_bracket(g, y)
-                if br.is_zero() or br in seen or (-br) in seen:
-                    continue
-                seen.add(br)
-                new_layer.append(br)
-        accumulated.extend(new_layer)
-        layer = new_layer
-        ranks.append(generic_rank(accumulated).rank)
+    basis = list(gens)
+    # the z and zb rows of the generators form an identity block
+    rank = len(gens)
+    ranks = [rank]
+    full = vm.space.nvars
+    newest = gens
+    while len(ranks) < max_depth and newest and rank < full:
+        added = []
+        # [y, g] = -[g, y], so depth 2 takes each pair of generators once
+        pairs = combinations(gens, 2) if newest is gens else product(gens, newest)
+        for g, y in pairs:
+            if rank == full:
+                break
+            br = lie_bracket(g, y)
+            if br.is_zero():
+                continue
+            r = generic_rank(basis + [br]).rank
+            if r > rank:
+                basis.append(br)
+                added.append(br)
+                rank = r
+        ranks.append(rank)
+        newest = added
+    ranks.extend([rank] * (max_depth - len(ranks)))
     plateau = max_depth
     while plateau > 1 and ranks[plateau - 2] == ranks[-1]:
         plateau -= 1

@@ -12,8 +12,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from .classify import (
+    MAX_HULL_DEPTH,
     VERDICT_TEXT,
     ClassificationReport,
     classify,
@@ -51,7 +53,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it."""
     parser = _ArgumentParser(
         prog="crclass",
         description=(
@@ -273,6 +277,8 @@ def run(config: RunConfig) -> int:
     try:
         if config.depth < 1:
             raise ValidationError("--depth must be at least 1")
+        if config.depth > MAX_HULL_DEPTH:
+            raise ValidationError(f"--depth must be at most {MAX_HULL_DEPTH}")
         vm = _load(config)
         dispatch = {
             "classify": _run_classify,

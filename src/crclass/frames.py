@@ -24,7 +24,7 @@ from .linalg import (
     generic_rank_matrix,
     rank_at_point_matrix,
 )
-from .manifold import ValidatedManifold, cramer_system
+from .manifold import ValidatedManifold
 from .parser import expr_to_text
 from .poly import VarSpace
 from .ratfunc import RationalExpr
@@ -151,8 +151,8 @@ class FrameData:
 def cramer_frame(vm: ValidatedManifold) -> FrameData:
     space = vm.space
     n, c = vm.n, vm.c
-    system = cramer_system(vm)
-    den = det_expr(system)
+    system = vm.cramer
+    den = vm.cramer_det
     if den.is_zero():
         raise FrameSingularError("det(i*I + Phi_u) vanishes identically")
     a_rows = []
@@ -258,20 +258,24 @@ def rank_at_point(
 
 
 def decompose_in_frame(
-    target: VectorField, fields: Sequence[VectorField]
+    target: VectorField,
+    fields: Sequence[VectorField],
+    witness: RankCertificate | None = None,
 ) -> tuple[RationalExpr, ...]:
     """Coefficients lambda with target = sum lambda_k fields[k], exactly.
 
     Solves by Cramer on the coordinate rows of the generic_rank witness
     minor and verifies that the residual vanishes in every row. The
     coefficients are unique, so the choice of rows cannot show in them.
+    A caller that already ranked `fields` passes that certificate as
+    `witness`; otherwise the fields are ranked here.
     """
     k = len(fields)
     if k == 0:
         if target.is_zero():
             return ()
         raise NotInSpanError("nonzero field cannot be decomposed in an empty frame")
-    cert = generic_rank(fields)
+    cert = generic_rank(fields) if witness is None else witness
     if cert.rank < k:
         raise DependentFrameError("frame fields are generically dependent")
     mat = field_matrix(fields)

@@ -9,7 +9,7 @@ base point. Supported types keep the real dimension 2n + c at most 5:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -21,6 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import GR_I, GaussianRational, gr
+from .linalg import det_expr
 from .parser import expr_to_text, parse_constant, parse_expr
 from .poly import VarSpace
 from .ratfunc import PoleError, RationalExpr
@@ -72,6 +73,10 @@ class ValidatedManifold:
     phi: tuple[RationalExpr, ...]
     point: PointAssignment
     warnings: tuple[str, ...]
+    # i*I_c + Phi_u and its determinant, built once by validate_manifold
+    # for the base-point check and handed on to the Cramer frame
+    cramer: tuple[tuple[RationalExpr, ...], ...] = field(compare=False, repr=False)
+    cramer_det: RationalExpr = field(compare=False, repr=False)
 
     @property
     def space(self) -> VarSpace:
@@ -154,7 +159,7 @@ def load_manifold(path: str) -> ManifoldSpec:
     return manifold_from_dict(data)
 
 
-def cramer_system(spec: ManifoldSpec | ValidatedManifold) -> list[list[RationalExpr]]:
+def cramer_system(spec: ManifoldSpec) -> tuple[tuple[RationalExpr, ...], ...]:
     """The c x c matrix i*I_c + Phi_u of the Cramer solve for the frame."""
     space = VarSpace(spec.n, spec.c)
     i_const = RationalExpr.const(space, GR_I)
@@ -162,15 +167,8 @@ def cramer_system(spec: ManifoldSpec | ValidatedManifold) -> list[list[RationalE
     for j in range(spec.c):
         row = [spec.phi[j].diff(space.u_slot(l)) for l in range(spec.c)]
         row[j] = row[j] + i_const
-        rows.append(row)
-    return rows
-
-
-def cramer_denominator(spec: ManifoldSpec | ValidatedManifold) -> RationalExpr:
-    """det(i*I_c + Phi_u), the shared denominator of the frame coefficients."""
-    from .linalg import det_expr
-
-    return det_expr(cramer_system(spec))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def validate_manifold(spec: ManifoldSpec) -> ValidatedManifold:
@@ -202,7 +200,8 @@ def validate_manifold(spec: ManifoldSpec) -> ValidatedManifold:
                 f"phi_{j + 1} has a pole at the base point"
             ) from exc
 
-    den = cramer_denominator(spec)
+    system = cramer_system(spec)
+    den = det_expr(system)
     try:
         den_at_point = den.eval(coords)
     except PoleError as exc:
@@ -233,5 +232,5 @@ def validate_manifold(spec: ManifoldSpec) -> ValidatedManifold:
 
     return ValidatedManifold(
         n=spec.n, c=spec.c, phi=spec.phi, point=spec.point,
-        warnings=tuple(warnings),
+        warnings=tuple(warnings), cramer=system, cramer_det=den,
     )

@@ -15,10 +15,17 @@ division; all arithmetic is exact so the value is identical.
 The parser is recursive descent. Parentheses may nest at most MAX_NESTING
 deep, so that no input can exhaust the interpreter's stack; a chain of
 unary minus signs is read in a loop.
+
+Subexpressions are built as polynomials, and division by a constant
+scales them; only a division by a nonconstant expression turns a
+subexpression into a RationalExpr. Polynomial arithmetic skips the
+cancellation work of reduced fractions, and the value, including its
+denominator hints, is the one RationalExpr arithmetic gives throughout.
 """
 
 from __future__ import annotations
 
+import operator
 import re as _re
 
 from .gaussian import GR_I, GaussianRational, gr
@@ -61,6 +68,20 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+Value = MultiPoly | RationalExpr
+
+
+def _lift(v: Value) -> RationalExpr:
+    return v if isinstance(v, RationalExpr) else RationalExpr.from_poly(v)
+
+
+def _combine(op, a: Value, b: Value) -> Value:
+    """a op b for op in +, -, *: on polynomials while both operands are."""
+    if isinstance(a, MultiPoly) and isinstance(b, MultiPoly):
+        return op(a, b)
+    return op(_lift(a), _lift(b))
+
+
 class _Parser:
     def __init__(self, text: str, space: VarSpace):
         self.tokens = _tokenize(text)
@@ -87,20 +108,20 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {value!r}", pos)
-        return e
+        return _lift(e)
 
-    def expr(self) -> RationalExpr:
+    def expr(self) -> Value:
         e = self.term()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                e = e + rhs if value == "+" else e - rhs
+                e = _combine(operator.add if value == "+" else operator.sub, e, rhs)
             else:
                 return e
 
-    def term(self) -> RationalExpr:
+    def term(self) -> Value:
         e = self.unary()
         while True:
             kind, value, pos = self.peek()
@@ -108,15 +129,18 @@ class _Parser:
                 self.advance()
                 rhs = self.unary()
                 if value == "*":
-                    e = e * rhs
+                    e = _combine(operator.mul, e, rhs)
+                elif rhs.is_zero():
+                    raise ParseError("division by zero", pos)
+                elif (isinstance(e, MultiPoly) and isinstance(rhs, MultiPoly)
+                      and rhs.is_constant()):
+                    e = e.scale(rhs.as_constant().inverse())
                 else:
-                    if rhs.is_zero():
-                        raise ParseError("division by zero", pos)
-                    e = e / rhs
+                    e = _lift(e) / _lift(rhs)
             else:
                 return e
 
-    def unary(self) -> RationalExpr:
+    def unary(self) -> Value:
         negate = False
         while True:
             kind, value, _ = self.peek()
@@ -127,7 +151,7 @@ class _Parser:
         e = self.power()
         return -e if negate else e
 
-    def power(self) -> RationalExpr:
+    def power(self) -> Value:
         e = self.atom()
         while True:
             kind, value, _ = self.peek()
@@ -143,13 +167,13 @@ class _Parser:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
             e = e.pow(exponent)
 
-    def atom(self) -> RationalExpr:
+    def atom(self) -> Value:
         kind, value, pos = self.advance()
         if kind == "num":
-            return RationalExpr.const(self.space, gr(int(value)))
+            return MultiPoly.const(self.space, gr(int(value)))
         if kind == "ident":
             if value == "I":
-                return RationalExpr.const(self.space, GR_I)
+                return MultiPoly.const(self.space, GR_I)
             m = _IDENT.match(value)
             if m is None:
                 raise ParseError(f"unknown variable {value!r}", pos)
@@ -158,7 +182,7 @@ class _Parser:
             if index > bound:
                 raise ParseError(f"unknown variable {value!r}", pos)
             base = {"z": 0, "zb": self.space.n, "u": 2 * self.space.n}[kind_name]
-            return RationalExpr.variable(self.space, base + index - 1)
+            return MultiPoly.variable(self.space, base + index - 1)
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)

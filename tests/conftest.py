@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import sys
+
 import pytest
 
 from crclass.manifold import manifold_from_dict, validate_manifold
@@ -30,6 +32,21 @@ def build(n, c, phis, point=None):
     if point is not None:
         data["point"] = point
     return validate_manifold(manifold_from_dict(data))
+
+
+def count_calls(monkeypatch, module, name):
+    """Record the calls of module.name, patched in every crclass module binding it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("crclass") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

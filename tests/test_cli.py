@@ -21,7 +21,9 @@ from conftest import (
     PRODUCT_M3XC,
     SPHERE,
     SUM_SQUARE,
+    count_calls,
 )
+from crclass.classify import MAX_HULL_DEPTH
 from crclass.errors import InternalAssertion
 
 REPO = Path(__file__).resolve().parents[1]
@@ -167,6 +169,32 @@ def test_hull_command(tmp_path, capsys):
     assert code == 0
     assert "depth 3: rank 4" in out
     assert "not stabilized within depth 3" in out
+
+
+def test_hull_depth_cap(tmp_path, capsys):
+    path = write_spec(tmp_path, HEISENBERG)
+    code, out, err = run_cli(
+        capsys, "hull", "--input", path, "--depth", str(MAX_HULL_DEPTH)
+    )
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[MAX_HULL_DEPTH - 1] == f"depth {MAX_HULL_DEPTH}: rank 3"
+    assert lines[MAX_HULL_DEPTH:] == ["stabilized at depth 2 with rank 3"]
+
+    code, out, err = run_cli(
+        capsys, "hull", "--input", path, "--depth", str(MAX_HULL_DEPTH + 1)
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: --depth must be at most {MAX_HULL_DEPTH}\n"
+
+
+def test_argument_parser_built_once(tmp_path, capsys):
+    path = write_spec(tmp_path, HEISENBERG)
+    cli.build_parser.cache_clear()
+    for _ in range(3):
+        assert run_cli(capsys, "hull", "--input", path, "--depth", "2")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_point_override(tmp_path, capsys):

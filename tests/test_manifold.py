@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import HEISENBERG, LIGHT_CONE_TUBE, build
+from conftest import CUBIC_III1, HEISENBERG, LIGHT_CONE_TUBE, build, count_calls
+from crclass import manifold
+from crclass.classify import classify
 from crclass.gaussian import GaussianRational
 from crclass.errors import (
     BasePointError,
@@ -17,7 +19,6 @@ from crclass.errors import (
 from crclass.gaussian import gr
 from crclass.manifold import (
     PointAssignment,
-    cramer_denominator,
     load_manifold,
     manifold_from_dict,
     validate_manifold,
@@ -80,8 +81,15 @@ def test_frame_singular_at_base_point():
 
 def test_cramer_denominator_c1_never_vanishes_for_rigid():
     vm = build(*HEISENBERG)
-    den = cramer_denominator(vm)
+    den = vm.cramer_det
     assert den.eval(vm.point_coords()) == gr(0, 1)
+
+
+def test_one_cramer_system_per_classify(monkeypatch):
+    # validation builds the system and its determinant; the frame reuses them
+    calls = count_calls(monkeypatch, manifold, "cramer_system")
+    classify(build(*CUBIC_III1))
+    assert len(calls) == 1
 
 
 def test_warnings_nonzero_value_and_gradient():
