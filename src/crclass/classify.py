@@ -27,9 +27,9 @@ from .frames import (
 )
 from .gaussian import GaussianRational
 from .levi import KernelData, levi_data
-from .linalg import RankCertificate
+from .linalg import RankCertificate, raising_row
 from .manifold import ValidatedManifold
-from .ratfunc import RationalExpr
+from .ratfunc import RationalExpr, cleared_column
 
 VERDICT_TEXT = {
     "ClassI": "Class I",
@@ -148,7 +148,7 @@ def _classify_hypersurface_like(
     frame_change,
 ) -> ClassificationReport:
     fields = _apply_change(frame, frame_change)
-    tower = named_brackets(fields, [f.conj() for f in fields], vm.c)
+    tower = named_brackets(fields, vm.c)
     coords = vm.point_coords()
     generic_ranks: dict[str, int] = {}
     point_ranks: dict[str, int] = {}
@@ -267,6 +267,11 @@ def lie_hull_rank(vm: ValidatedManifold, max_depth: int = 4) -> HullResult:
     only when it raises the generic rank. The ranks therefore equal those
     of the full bracket tables.
 
+    The basis keeps its cleared columns and the rows of a nonzero maximal
+    minor; a bracket raises the rank exactly when one of the minors on
+    those rows plus one more row, against the basis and the bracket, is
+    nonzero (linalg.raising_row), so the basis is never ranked again.
+
     Once the rank reaches 2n + c, or a depth adds no field, the span is
     the same at every later depth, so the remaining depths repeat the
     rank without bracketing. For the same reason stabilized_at, the depth
@@ -278,8 +283,10 @@ def lie_hull_rank(vm: ValidatedManifold, max_depth: int = 4) -> HullResult:
         raise ValueError(f"max_depth must be between 1 and {MAX_HULL_DEPTH}")
     frame = cramer_frame(vm)
     gens = list(frame.L) + list(frame.Lbar)
-    basis = list(gens)
-    # the z and zb rows of the generators form an identity block
+    columns = [cleared_column(f.coeffs) for f in gens]
+    # on the z and zb rows the generators' columns are diagonal, with the
+    # nonzero clearing factors on the diagonal
+    rows = list(range(len(gens)))
     rank = len(gens)
     ranks = [rank]
     full = vm.space.nvars
@@ -294,11 +301,13 @@ def lie_hull_rank(vm: ValidatedManifold, max_depth: int = 4) -> HullResult:
             br = lie_bracket(g, y)
             if br.is_zero():
                 continue
-            r = generic_rank(basis + [br]).rank
-            if r > rank:
-                basis.append(br)
+            column = cleared_column(br.coeffs)
+            row = raising_row(columns + [column], rows)
+            if row is not None:
+                columns.append(column)
+                rows.append(row)
                 added.append(br)
-                rank = r
+                rank += 1
         ranks.append(rank)
         newest = added
     ranks.extend([rank] * (max_depth - len(ranks)))

@@ -243,7 +243,7 @@ def _run_levi(vm: ValidatedManifold, config: RunConfig) -> None:
 def _run_brackets(vm: ValidatedManifold, config: RunConfig) -> None:
     frame = cramer_frame(vm)
     fields = {
-        name: f.render() for name, f in named_brackets(frame.L, frame.Lbar, vm.c)
+        name: f.render() for name, f in named_brackets(frame.L, vm.c)
     }
     if config.json_output:
         _emit({"input": vm.input_dict(), "fields": fields})

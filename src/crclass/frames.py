@@ -45,12 +45,13 @@ class VectorField:
         return all(c.is_zero() for c in self.coeffs)
 
     def apply(self, f: RationalExpr) -> RationalExpr:
-        out = RationalExpr.zero(self.space)
+        out = None
         for slot, coeff in enumerate(self.coeffs):
             if coeff.is_zero():
                 continue
-            out = out + coeff * f.diff(slot)
-        return out
+            term = coeff * f.diff(slot)
+            out = term if out is None else out + term
+        return RationalExpr.zero(self.space) if out is None else out
 
     def conj(self) -> "VectorField":
         conj_coeffs = [RationalExpr.zero(self.space)] * self.space.nvars
@@ -61,7 +62,7 @@ class VectorField:
 
     def scale(self, factor: RationalExpr | GaussianRational) -> "VectorField":
         if isinstance(factor, GaussianRational):
-            factor = RationalExpr.const(self.space, factor)
+            return VectorField(self.space, tuple(c.scale(factor) for c in self.coeffs))
         return VectorField(self.space, tuple(factor * c for c in self.coeffs))
 
     def __add__(self, other: "VectorField") -> "VectorField":
@@ -129,13 +130,30 @@ class OneForm:
         return " + ".join(parts)
 
 
+def bracket_component(x: VectorField, y: VectorField, d: int) -> RationalExpr:
+    """The d/d(var_d) coefficient of [X, Y]: X(Y_d) - Y(X_d)."""
+    return x.apply(y.coeffs[d]) - y.apply(x.coeffs[d])
+
+
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """[X, Y] = X(Y_d) - Y(X_d) against each coordinate direction d."""
     space = x.space
-    out = []
-    for d in range(space.nvars):
-        out.append(x.apply(y.coeffs[d]) - y.apply(x.coeffs[d]))
-    return VectorField(space, tuple(out))
+    return VectorField(
+        space, tuple(bracket_component(x, y, d) for d in range(space.nvars))
+    )
+
+
+def bracket_with_conj(x: VectorField) -> VectorField:
+    """[X, conj X] from one apply per slot.
+
+    conj(X)(X_d) = conj(X(conj(X)_{d*})) for the conjugate slot d*, so
+    with W_e = X(conj(X)_e) the bracket is W_d - conj(W_{d*}).
+    """
+    space = x.space
+    w = [x.apply(c) for c in x.conj().coeffs]
+    return VectorField(
+        space, tuple(w[d] - w[space.conj_slot(d)].conj() for d in range(space.nvars))
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,37 +219,48 @@ def rho0(frame: FrameData) -> tuple[OneForm, ...]:
 
 def characteristic_field(frame: FrameData) -> VectorField:
     """T = i[L_1, Lbar_1]; real whenever n = 1."""
-    return lie_bracket(frame.L[0], frame.Lbar[0]).scale(GR_I)
+    return bracket_with_conj(frame.L[0]).scale(GR_I)
 
 
-def named_brackets(
-    L: Sequence[VectorField], Lbar: Sequence[VectorField], c: int
-) -> Iterator[tuple[str, VectorField]]:
-    """The frame and the brackets the decision tree reads, in order, lazily.
+def named_brackets(L: Sequence[VectorField], c: int) -> Iterator[tuple[str, VectorField]]:
+    """The frames L and conj(L) and the brackets the decision tree reads,
+    in order, lazily.
 
     n = 1: L1, Lb1, T = i[L,Lb], then [L,T] and [Lb,T] when c >= 2 and
     [L,[L,T]] when c = 3. n = 2: L1, L2, Lb1, Lb2, then i[L_c, Lb_r] row
     by row (r outer), the brackets the Levi entries pair with rho0.
-    Each bracket is taken only when the consumer asks for it.
+    Each bracket is taken only when the consumer asks for it. Conjugation
+    saves brackets: T and the diagonal i[L_c, Lb_c] come from
+    bracket_with_conj, [Lb,T] = conj([L,T]) because T is real, and
+    i[L1,Lb2] = conj(i[L2,Lb1]).
     """
+    Lbar = [f.conj() for f in L]
     for i, f in enumerate(L):
         yield f"L{i + 1}", f
     for i, f in enumerate(Lbar):
         yield f"Lb{i + 1}", f
     if len(L) == 1:
-        l, lb = L[0], Lbar[0]
-        t = lie_bracket(l, lb).scale(GR_I)
+        l = L[0]
+        t = bracket_with_conj(l).scale(GR_I)
         yield "T", t
         if c >= 2:
             lt = lie_bracket(l, t)
             yield "[L,T]", lt
-            yield "[Lb,T]", lie_bracket(lb, t)
+            yield "[Lb,T]", lt.conj()
             if c == 3:
                 yield "[L,[L,T]]", lie_bracket(l, lt)
         return
+    below: dict[tuple[int, int], VectorField] = {}
     for r, lb in enumerate(Lbar):
         for col, l in enumerate(L):
-            yield f"i[L{col + 1},Lb{r + 1}]", lie_bracket(l, lb).scale(GR_I)
+            if col == r:
+                br = bracket_with_conj(l).scale(GR_I)
+            elif (r, col) in below:
+                br = below.pop((r, col))
+            else:
+                br = lie_bracket(l, lb).scale(GR_I)
+                below[(col, r)] = br.conj()
+            yield f"i[L{col + 1},Lb{r + 1}]", br
 
 
 def field_matrix(fields: Sequence[VectorField]) -> list[list[RationalExpr]]:

@@ -21,9 +21,9 @@ from .frames import (
     FrameData,
     OneForm,
     VectorField,
+    bracket_component,
     change_frame,
     cramer_frame,
-    lie_bracket,
     named_brackets,
     rho0,
 )
@@ -52,7 +52,7 @@ def levi_entries(rho: OneForm, fields: Sequence[VectorField]) -> LeviRows:
     n = len(fields)
     # past the 2n frame members, the tower for c = 1 is exactly the n*n
     # brackets i[L_c, Lb_r], row by row
-    tower = named_brackets(fields, [f.conj() for f in fields], 1)
+    tower = named_brackets(fields, 1)
     values = [rho.apply(br) for _, br in islice(tower, 2 * n, None)]
     return tuple(tuple(values[r * n:(r + 1) * n]) for r in range(n))
 
@@ -324,7 +324,12 @@ def _kernel_data(
         raise InternalAssertion("kappa0 does not annihilate conj(L_1)")
     if not kappa0.apply(big_k.conj()).is_zero():
         raise InternalAssertion("kappa0 does not annihilate conj(K)")
-    fre = kappa0.apply(lie_bracket(big_k, lbar1))
+    # kappa0 has z-coefficients only, so only the z-slots of [K, conj(L_1)]
+    # are built
+    fre = RationalExpr.zero(space)
+    for col in range(2):
+        d = space.z_slot(col)
+        fre = fre + kappa0.coeffs[d] * bracket_component(big_k, lbar1, d)
     try:
         fre_at = fre.eval(vm.point_coords())
     except PoleError:

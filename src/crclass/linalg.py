@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .gaussian import GaussianRational
-from .poly import MultiPoly, poly_lcm
-from .ratfunc import RationalExpr
+from .gaussian import GaussianRational, gr
+from .poly import MultiPoly
+from .ratfunc import RationalExpr, cleared_column
 
 
 def det_expr(rows: Sequence[Sequence[RationalExpr]]) -> RationalExpr:
@@ -91,22 +91,11 @@ def det_poly(
 
 
 def clear_columns(rows: Sequence[Sequence[RationalExpr]]) -> list[list[MultiPoly]]:
-    """Scale each column by the lcm of its denominators; rank-preserving."""
+    """Scale each column by the lcm of its reduced denominators; rank-preserving."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    nrows = len(rows)
-    cleared: list[list[MultiPoly]] = [[None] * ncols for _ in range(nrows)]  # type: ignore[list-item]
-    for col in range(ncols):
-        lcm = None
-        for r in range(nrows):
-            den = rows[r][col].den
-            lcm = den if lcm is None else poly_lcm(lcm, den)
-        assert lcm is not None
-        for r in range(nrows):
-            entry = rows[r][col]
-            cleared[r][col] = entry.num * lcm.divexact(entry.den)
-    return cleared
+    columns = [cleared_column(col) for col in zip(*rows)]
+    return [list(row) for row in zip(*columns)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +159,40 @@ def generic_rank_matrix(rows: Sequence[Sequence[RationalExpr]]) -> RankCertifica
             break
         best_rows, best_cols, best_minor = found
     return RankCertificate(len(best_rows), best_rows, best_cols, best_minor)
+
+
+# A point of Q(i)^nvars where raising_row evaluates its minors first.
+_PROBE = (gr(2, 1), gr(-3, 2), gr(5, -1), gr(1, 4), gr(-7, 3))
+
+
+def raising_row(
+    columns: Sequence[Sequence[MultiPoly]], rows: Sequence[int]
+) -> int | None:
+    """A row that raises the rank when the last column joins the others.
+
+    columns are cleared columns; all but the last are independent, with a
+    nonzero minor on `rows`. The last column lies in their span exactly
+    when its Schur complement against that witness block vanishes, that
+    is when every minor on rows + (i,) and all columns vanishes. Returns
+    an i whose minor is nonzero, or None.
+
+    A minor that is nonzero at a point is nonzero, so the minors are
+    first evaluated at a fixed point; only when all of them vanish there
+    are the polynomial minors computed.
+    """
+    matrix = [list(r) for r in zip(*columns)]
+    k = len(columns)
+    others = [i for i in range(len(matrix)) if i not in rows]
+    probe = _PROBE[: len(matrix)]
+    values = [[p.eval(probe) for p in r] for r in matrix]
+    for i in others:
+        if rank_at_point_matrix([values[r] for r in sorted((*rows, i))]) == k:
+            return i
+    for i in others:
+        minor = det_poly(matrix, tuple(sorted((*rows, i))), tuple(range(k)))
+        if not minor.is_zero():
+            return i
+    return None
 
 
 def rank_at_point_matrix(values: Sequence[Sequence[GaussianRational]]) -> int:

@@ -18,9 +18,8 @@ unary minus signs is read in a loop.
 
 Subexpressions are built as polynomials, and division by a constant
 scales them; only a division by a nonconstant expression turns a
-subexpression into a RationalExpr. Polynomial arithmetic skips the
-cancellation work of reduced fractions, and the value, including its
-denominator hints, is the one RationalExpr arithmetic gives throughout.
+subexpression into a RationalExpr, whose denominator atoms come from
+that division. Rendering prints the canonical (reduced) form.
 """
 
 from __future__ import annotations
@@ -241,6 +240,7 @@ def poly_to_text(p: MultiPoly) -> str:
 
 
 def expr_to_text(e: RationalExpr) -> str:
+    e = e.reduce()
     if e.den.is_one():
         return poly_to_text(e.num)
     return f"({poly_to_text(e.num)})/({poly_to_text(e.den)})"

@@ -322,14 +322,35 @@ class MultiPoly:
     def eval(self, values: tuple[GaussianRational, ...]) -> GaussianRational:
         if len(values) != self.space.nvars:
             raise ValueError("wrong number of point coordinates")
-        total = gr(0)
-        for m, cf in self.terms:
-            term = cf
-            for slot, e in enumerate(m):
-                for _ in range(e):
-                    term = term * values[slot]
-            total = total + term
-        return total
+        if not self.terms:
+            return gr(0)
+        # With v_s = (a_s + b_s I)/d_s and t_s the degree in slot s, each
+        # term times prod d_s^t_s is a Gaussian integer built from the
+        # table (a_s + b_s I)^e d_s^(t_s - e); one division at the end.
+        top = list(self.terms[0][0])
+        for m, _ in self.terms:
+            for s, e in enumerate(m):
+                if e > top[s]:
+                    top[s] = e
+        tables = []
+        scale = 1
+        for (a, b, d), t in zip(values, top):
+            ups = [(1, 0)]
+            for _ in range(t):
+                x, y = ups[-1]
+                ups.append((x * a - y * b, x * b + y * a))
+            tables.append([(x * d ** (t - e), y * d ** (t - e)) for e, (x, y) in enumerate(ups)])
+            scale *= d**t
+        den, ip = _int_form(self.terms)
+        re = im = 0
+        for m, (x, y) in ip.items():
+            for s, e in enumerate(m):
+                px, py = tables[s][e]
+                if py or px != 1:
+                    x, y = x * px - y * py, x * py + y * px
+            re += x
+            im += y
+        return reduced(re, im, den * scale)
 
     def monic(self) -> MultiPoly:
         if self.is_zero():
@@ -719,8 +740,3 @@ def _gcd_primitive(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
         big, small = small, _primitive_part(r, slot)
     return c * prim
 
-
-def poly_lcm(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    if f.is_zero() or g.is_zero():
-        return MultiPoly.zero(f.space)
-    return (f * g.divexact(poly_gcd(f, g))).monic()

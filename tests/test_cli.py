@@ -51,6 +51,35 @@ GOLDEN_COMMANDS = (
     ("hull", "--depth", "2"),
 )
 
+# Inputs whose frames have nonconstant denominators, so that the rational
+# arithmetic's cancellation shows in the bytes: a u-dependent seeded (2,1)
+# phi, an image of the light-cone tube under z -> Mz, a rational (1,2)
+# input with two different denominators and a u-dependent (1,3) input.
+GOLDEN_RATIONAL_MODELS = {
+    "random21_u": (2, 1, [
+        "(-2 - I)*zb1*zb2 + (-2 + I)*z1*z2 + (-1 + 2*I)*zb1 + (-1 - 2*I)*z1"
+        " + (1 + 2*I)*zb1^2 + (1 - 2*I)*z1^2 + (1 + 2*I)*u1*zb2^2"
+        " + (1 - 2*I)*u1*z2^2",
+    ]),
+    "tube_image": (2, 1, [
+        "(((I)*z1 + (-1)*z2)*((-I)*zb1 + (-1)*zb2)"
+        " + 1/2*((I)*z1 + (-1)*z2)^2*((1)*zb1 + (I)*zb2)"
+        " + 1/2*((-I)*zb1 + (-1)*zb2)^2*((1)*z1 + (-I)*z2))"
+        "/(1 - ((1)*z1 + (-I)*z2)*((1)*zb1 + (I)*zb2))",
+    ]),
+    "rational12": (1, 2, ["z1*zb1/(1 + z1*zb1)", "z1*zb1*(z1 + zb1)/(2 + z1 + zb1)"]),
+    "u13": (1, 3, [
+        "z1*zb1 + z1*zb1*u2", "z1^2*zb1 + z1*zb1^2 + u1*u3", "-I*z1^2*zb1 + I*z1*zb1^2",
+    ]),
+}
+
+GOLDEN_RATIONAL_COMMANDS = (
+    ("classify", "--json"),
+    ("levi", "--json"),
+    ("brackets", "--json"),
+    ("frame", "--json"),
+)
+
 
 def write_spec(tmp_path, spec, name="m.json", point=None):
     n, c, phis = spec
@@ -284,19 +313,25 @@ def test_moderate_nesting_parses(tmp_path, capsys):
 def golden_outputs(directory):
     """Stdout of every golden model under every golden command."""
     out = {}
-    for name, spec in GOLDEN_MODELS.items():
-        path = write_spec(Path(directory), spec, name=f"{name}.json")
-        for argv in GOLDEN_COMMANDS:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf):
-                code = cli.main([argv[0], "--input", path, *argv[1:]])
-            assert code == 0, (name, argv)
-            out.setdefault(name, {})[" ".join(argv)] = buf.getvalue()
+    for models, commands in (
+        (GOLDEN_MODELS, GOLDEN_COMMANDS),
+        (GOLDEN_RATIONAL_MODELS, GOLDEN_RATIONAL_COMMANDS),
+    ):
+        for name, spec in models.items():
+            path = write_spec(Path(directory), spec, name=f"{name}.json")
+            for argv in commands:
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    code = cli.main([argv[0], "--input", path, *argv[1:]])
+                assert code == 0, (name, argv)
+                out.setdefault(name, {})[" ".join(argv)] = buf.getvalue()
     return out
 
 
 def test_stdout_matches_golden(tmp_path):
-    """Byte-exact stdout of the nine named models under eight commands.
+    """Byte-exact stdout of the nine named models under eight commands,
+    and of four inputs with nonconstant frame denominators under the
+    four JSON commands.
 
     tests/data/cli_golden.json pins these bytes across commits; it is
     regenerated only for an intended change of output, from the repo root:

@@ -10,7 +10,6 @@ from crclass.poly import (
     MultiPoly,
     VarSpace,
     poly_gcd,
-    poly_lcm,
 )
 
 SP = VarSpace(2, 1)  # variables z1, z2, zb1, zb2, u1
@@ -110,13 +109,6 @@ def test_gcd_known_values():
     assert poly_gcd(MultiPoly.zero(SP), g.scale(gr(5))) == g.monic()
 
 
-def test_lcm():
-    f = Z1 + ZB1
-    g = (Z1 + ZB1) * Z2
-    assert poly_lcm(f, g) == g.monic()
-    assert poly_lcm(f, MultiPoly.zero(SP)).is_zero()
-
-
 @given(polys(), polys(), polys())
 @settings(max_examples=60, deadline=None)
 def test_ring_axioms(a, b, c):
@@ -148,6 +140,19 @@ def test_eval_is_hom(a, b):
     vals = (gr(1, 1), gr(-2), gr(1, -1), gr(0, 1), gr(1, 2))
     assert (a * b).eval(vals) == a.eval(vals) * b.eval(vals)
     assert (a + b).eval(vals) == a.eval(vals) + b.eval(vals)
+
+
+@given(polys(coeffs=rational_coeffs), st.lists(rational_coeffs, min_size=5, max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_eval_matches_term_by_term(a, point):
+    want = gr(0)
+    for m, cf in a.terms:
+        term = cf
+        for slot, e in enumerate(m):
+            for _ in range(e):
+                term = term * point[slot]
+        want = want + term
+    assert a.eval(tuple(point)) == want
 
 
 @given(polys(max_terms=3), polys(max_terms=3))
