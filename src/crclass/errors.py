@@ -42,5 +42,9 @@ class RankMismatchError(ValidationError):
     """An operation required a specific generic Levi rank."""
 
 
+class DegreeOverflowError(ValidationError):
+    """A polynomial's total degree would exceed poly.MAX_DEGREE."""
+
+
 class InternalAssertion(AssertionError):
     """A guaranteed invariant failed; indicates a bug, not bad input."""

@@ -107,24 +107,35 @@ class GaussianRational(tuple):
 
     def __str__(self) -> str:
         # Renders in the expression grammar: "I" binds like a variable,
-        # "*" and "/" are left-associative, so 3/4*I means (3/4)*I.
-        re, im = self.re, self.im
-        if im == 0:
-            return str(re)
-        if re == 0:
-            if im == 1:
+        # "*" and "/" are left-associative, so 3/4*I means (3/4)*I. The
+        # parts print as Fractions would: a/d in lowest terms.
+        a, b, d = self
+        if b == 0:
+            return _ratio_text(a, d)
+        if a == 0:
+            # gcd(a, b, d) = 1 makes b = +-d mean d = 1
+            if b == d:
                 return "I"
-            if im == -1:
+            if b == -d:
                 return "-I"
-            return f"{im}*I"
-        if im > 0:
-            imp = "I" if im == 1 else f"{im}*I"
-            return f"{re} + {imp}"
-        imp = "I" if im == -1 else f"{-im}*I"
-        return f"{re} - {imp}"
+            return f"{_ratio_text(b, d)}*I"
+        re = _ratio_text(a, d)
+        if b > 0:
+            return f"{re} + I" if b == d else f"{re} + {_ratio_text(b, d)}*I"
+        return f"{re} - I" if b == -d else f"{re} - {_ratio_text(-b, d)}*I"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
+
+
+def _ratio_text(p: int, d: int) -> str:
+    """p/d in lowest terms, as str(Fraction(p, d)) writes it; d > 0."""
+    if d != 1:
+        g = gcd(p, d)
+        if g != d:
+            return f"{p // g}/{d // g}"
+        return str(p // d)
+    return str(p)
 
 
 def reduced(a: int, b: int, d: int) -> GaussianRational:

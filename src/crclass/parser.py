@@ -221,7 +221,7 @@ def _coeff_mono_text(space: VarSpace, coeff: GaussianRational, mono: tuple[int, 
         return mono_text
     if (-coeff).is_one():
         return f"-{mono_text}"
-    if coeff.re != 0 and coeff.im != 0:
+    if coeff[0] and coeff[1]:
         return f"({coeff})*{mono_text}"
     return f"{coeff}*{mono_text}"
 
@@ -229,7 +229,7 @@ def _coeff_mono_text(space: VarSpace, coeff: GaussianRational, mono: tuple[int, 
 def poly_to_text(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
-    parts = [_coeff_mono_text(p.space, cf, m) for m, cf in p.terms]
+    parts = [_coeff_mono_text(p.space, cf, m) for m, cf in p.monomials()]
     out = parts[0]
     for part in parts[1:]:
         if part.startswith("-"):

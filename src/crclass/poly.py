@@ -8,23 +8,45 @@ variable; reality of inputs is validated elsewhere, never assumed here.
 Terms are kept in a canonical graded-lexicographic order with
 z1 < ... < zn < zb1 < ... < zbn < u1 < ... < uc, so equal polynomials are
 structurally equal and printing is deterministic.
+
+Each term is stored as (key, coefficient), where the int key packs the
+monomial into FIELD_BITS-bit fields (packed exponent vectors: Monagan &
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007). Field s, starting at bit FIELD_BITS * s,
+holds the exponent of slot s, and the field above the nvars exponent
+fields holds the total degree:
+
+    key = deg << (FIELD_BITS * nvars) | sum_s e_s << (FIELD_BITS * s)
+
+Comparing keys as ints compares degrees first and then the exponents from
+the last slot down, which is the graded-lex order above, and the key of a
+product of monomials is the sum of their keys. A field cannot carry into
+its neighbour as long as every total degree is at most MAX_DEGREE, the
+largest value of one field; each operation that adds keys checks this and
+raises DegreeOverflowError instead of wrapping. The layout stays inside
+this module: the constructors take exponent tuples and `monomials` gives
+them back.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd, lcm
-from operator import add, mul, sub
-from typing import Literal
+from operator import le
+from typing import Iterable, Literal
 
-from .gaussian import GR_ONE, GaussianRational, gr, reduced
+from .errors import DegreeOverflowError
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, reduced
 
 Monomial = tuple[int, ...]
 
 VarKind = Literal["z", "zb", "u"]
+
+FIELD_BITS = 16
+MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 
 class ExactDivisionError(ArithmeticError):
@@ -54,10 +76,21 @@ class VarSpace:
 
     n: int
     c: int
+    nvars: int = field(init=False, repr=False, compare=False)
+    # Shift of the degree field, and the least key of degree MAX_DEGREE + 1.
+    _deg_shift: int = field(init=False, repr=False, compare=False)
+    _key_cap: int = field(init=False, repr=False, compare=False)
+    # The zero and unit polynomials, shared by everything in this space.
+    _zero: MultiPoly = field(init=False, repr=False, compare=False)
+    _one: MultiPoly = field(init=False, repr=False, compare=False)
 
-    @property
-    def nvars(self) -> int:
-        return 2 * self.n + self.c
+    def __post_init__(self) -> None:
+        nvars = 2 * self.n + self.c
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "_deg_shift", FIELD_BITS * nvars)
+        object.__setattr__(self, "_key_cap", (MAX_DEGREE + 1) << (FIELD_BITS * nvars))
+        object.__setattr__(self, "_zero", MultiPoly(self, ()))
+        object.__setattr__(self, "_one", MultiPoly(self, ((0, GR_ONE),)))
 
     def slot(self, v: VarId) -> int:
         if v.kind == "z":
@@ -105,24 +138,40 @@ class VarSpace:
             return f"zb{slot - n + 1}"
         return f"u{slot - 2 * n + 1}"
 
-    def conj_monomial(self, m: Monomial) -> Monomial:
-        n = self.n
-        return m[n : 2 * n] + m[:n] + m[2 * n :]
+
+# -- packed monomial keys -----------------------------------------------------
 
 
-def _term_key(term: tuple[Monomial, GaussianRational]) -> tuple[int, Monomial]:
-    # Graded lex: later slots are the larger variables, so ties are broken
-    # by the reversed exponent vector.
-    m = term[0]
-    return (sum(m), m[::-1])
+def _pack(m: Iterable[int]) -> int:
+    key = deg = 0
+    shift = 0
+    for e in m:
+        key |= e << shift
+        deg += e
+        shift += FIELD_BITS
+    if deg > MAX_DEGREE:
+        raise DegreeOverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
+    return key | deg << shift
 
 
-def _grlex_weights(nvars: int, base: int) -> list[int]:
-    # sum(map(mul, m, w)) = deg(m)*base^nvars + sum_i m[i]*base^i is an int
-    # that orders monomials like _term_key, provided every exponent is
-    # below base. It is linear in m, so a product's key is a sum of keys.
-    top = base**nvars
-    return [top + base**i for i in range(nvars)]
+def _unpack(key: int, nvars: int) -> Monomial:
+    """The exponent tuple of a key."""
+    return tuple((key >> (FIELD_BITS * s)) & MAX_DEGREE for s in range(nvars))
+
+
+def _slot_field(space: VarSpace, slot: int) -> tuple[int, int]:
+    """(shift, unit): where the exponent of slot starts in a key, and the
+    key of that variable, which a monomial gains per unit of exponent."""
+    shift = FIELD_BITS * slot
+    return shift, (1 << space._deg_shift) | (1 << shift)
+
+
+def _check_degree(space: VarSpace, key: int) -> None:
+    # key is a key or the sum of two; its degree, or the sum of their
+    # degrees, passes MAX_DEGREE exactly when it reaches the cap, whatever
+    # the lower fields carry.
+    if key >= space._key_cap:
+        raise DegreeOverflowError(f"polynomial degree exceeds {MAX_DEGREE}")
 
 
 # -- Gaussian-integer form ---------------------------------------------------
@@ -131,82 +180,88 @@ def _grlex_weights(nvars: int, base: int) -> list[int]:
 # common denominator and (re, im) int pairs, with no per-operation gcd.
 
 ICoeff = tuple[int, int]
-IPoly = dict[Monomial, ICoeff]
+IPoly = dict[int, ICoeff]
 
 
-def _int_form(terms: tuple[tuple[Monomial, GaussianRational], ...]) -> tuple[int, IPoly]:
+def _int_form(terms: tuple[tuple[int, GaussianRational], ...]) -> tuple[int, IPoly]:
     """(den, ip) with den * p = ip, den the lcm of the denominators."""
     den = 1
     for _, (_, _, d) in terms:
         if d != 1:
             den = lcm(den, d)
     if den == 1:
-        return 1, {m: (a, b) for m, (a, b, _) in terms}
-    return den, {m: (a * (den // d), b * (den // d)) for m, (a, b, d) in terms}
+        return 1, {k: (a, b) for k, (a, b, _) in terms}
+    return den, {k: (a * (den // d), b * (den // d)) for k, (a, b, d) in terms}
 
 
-def _imul(a: IPoly, b: IPoly) -> IPoly:
+def _imul(space: VarSpace, a: IPoly, b: IPoly) -> IPoly:
+    _check_degree(space, max(a) + max(b))
     out: IPoly = {}
     get = out.get
-    for m1, (x1, y1) in a.items():
-        for m2, (x2, y2) in b.items():
-            m = tuple(map(add, m1, m2))
+    for k1, (x1, y1) in a.items():
+        for k2, (x2, y2) in b.items():
+            k = k1 + k2
             re = x1 * x2 - y1 * y2
             im = x1 * y2 + y1 * x2
-            cur = get(m)
+            cur = get(k)
             if cur is not None:
                 re += cur[0]
                 im += cur[1]
-            out[m] = (re, im)
-    return {m: c for m, c in out.items() if c[0] or c[1]}
+            out[k] = (re, im)
+    return {k: c for k, c in out.items() if c[0] or c[1]}
 
 
 def _from_int_form(space: VarSpace, ip: IPoly, den: int = 1) -> MultiPoly:
-    """The polynomial ip / den; zero coefficients are dropped."""
-    items = [(m, reduced(re, im, den)) for m, (re, im) in ip.items() if re or im]
-    items.sort(key=_term_key, reverse=True)
-    return MultiPoly(space, tuple(items))
+    """The polynomial ip / den; ip holds no zero values."""
+    return MultiPoly(space, tuple([(k, reduced(*ip[k], den)) for k in sorted(ip, reverse=True)]))
+
+
+def _from_keys(space: VarSpace, acc: dict[int, GaussianRational]) -> MultiPoly:
+    """The polynomial with these terms; zero coefficients are dropped."""
+    return MultiPoly(space, tuple([
+        (k, c) for k in sorted(acc, reverse=True) if (c := acc[k])[0] or c[1]
+    ]))
 
 
 @dataclass(frozen=True, slots=True)
 class MultiPoly:
-    """Immutable sparse polynomial; terms sorted graded-lex descending."""
+    """Immutable sparse polynomial; terms (key, coefficient) sorted by key,
+    descending, which is graded-lex descending."""
 
     space: VarSpace
-    terms: tuple[tuple[Monomial, GaussianRational], ...]
+    terms: tuple[tuple[int, GaussianRational], ...]
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_map(space: VarSpace, mapping: dict[Monomial, GaussianRational]) -> MultiPoly:
-        items = [(m, cf) for m, cf in mapping.items() if not cf.is_zero()]
-        items.sort(key=_term_key, reverse=True)
-        return MultiPoly(space, tuple(items))
+    def zero(space: VarSpace) -> MultiPoly:
+        return space._zero
 
     @staticmethod
-    def zero(space: VarSpace) -> MultiPoly:
-        return MultiPoly(space, ())
+    def one(space: VarSpace) -> MultiPoly:
+        return space._one
 
     @staticmethod
     def const(space: VarSpace, value: GaussianRational) -> MultiPoly:
         if value.is_zero():
             return MultiPoly.zero(space)
-        return MultiPoly(space, (((0,) * space.nvars, value),))
-
-    @staticmethod
-    def one(space: VarSpace) -> MultiPoly:
-        return MultiPoly.const(space, GR_ONE)
+        if value.is_one():
+            return MultiPoly.one(space)
+        return MultiPoly(space, ((0, value),))
 
     @staticmethod
     def variable(space: VarSpace, slot: int) -> MultiPoly:
-        m = tuple(1 if i == slot else 0 for i in range(space.nvars))
-        return MultiPoly(space, ((m, GR_ONE),))
+        if not 0 <= slot < space.nvars:
+            raise ValueError(f"slot {slot} out of range for {space.nvars} variables")
+        return MultiPoly(space, ((_slot_field(space, slot)[1], GR_ONE),))
 
     @staticmethod
     def monomial(space: VarSpace, m: Monomial, coeff: GaussianRational) -> MultiPoly:
+        if len(m) != space.nvars:
+            raise ValueError("wrong number of exponents")
         if coeff.is_zero():
             return MultiPoly.zero(space)
-        return MultiPoly(space, ((m, coeff),))
+        return MultiPoly(space, ((_pack(m), coeff),))
 
     # -- predicates --------------------------------------------------------
 
@@ -214,24 +269,31 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and sum(self.terms[0][0]) == 0)
+        t = self.terms
+        return not t or (len(t) == 1 and t[0][0] == 0)
 
     def as_constant(self) -> GaussianRational:
         if self.is_zero():
-            return gr(0)
+            return GR_ZERO
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return self.terms[0][1]
 
     def is_one(self) -> bool:
-        return self.is_constant() and not self.is_zero() and self.terms[0][1].is_one()
+        t = self.terms
+        return len(t) == 1 and t[0][0] == 0 and t[0][1].is_one()
 
-    # -- leading data ------------------------------------------------------
+    # -- terms and leading data --------------------------------------------
+
+    def monomials(self) -> list[tuple[Monomial, GaussianRational]]:
+        """The terms as (exponent tuple, coefficient), in term order."""
+        nv = self.space.nvars
+        return [(_unpack(k, nv), cf) for k, cf in self.terms]
 
     def leading_monomial(self) -> Monomial:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][0]
+        return _unpack(self.terms[0][0], self.space.nvars)
 
     def leading_coeff(self) -> GaussianRational:
         if self.is_zero():
@@ -241,56 +303,75 @@ class MultiPoly:
     def total_degree(self) -> int:
         if self.is_zero():
             return -1
-        return max(sum(m) for m, _ in self.terms)
+        return self.terms[0][0] >> self.space._deg_shift
 
     def degree_in(self, slot: int) -> int:
         if self.is_zero():
             return -1
-        return max(m[slot] for m, _ in self.terms)
+        shift = FIELD_BITS * slot
+        return max((k >> shift) & MAX_DEGREE for k, _ in self.terms)
 
     # -- arithmetic --------------------------------------------------------
 
     def _require_same_space(self, other: MultiPoly) -> None:
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise ValueError("mixing polynomials from different variable spaces")
 
     def __add__(self, other: MultiPoly) -> MultiPoly:
         self._require_same_space(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
-        for m, cf in other.terms:
-            cur = acc.get(m)
-            if cur is None:
-                acc[m] = cf
-            else:
-                acc[m] = cur + cf
-        return MultiPoly.from_map(self.space, acc)
+        for k, cf in other.terms:
+            cur = acc.get(k)
+            acc[k] = cf if cur is None else cur + cf
+        return _from_keys(self.space, acc)
 
     def __sub__(self, other: MultiPoly) -> MultiPoly:
         self._require_same_space(other)
+        if not other.terms:
+            return self
         acc = dict(self.terms)
-        for m, cf in other.terms:
-            cur = acc.get(m)
-            if cur is None:
-                acc[m] = -cf
-            else:
-                acc[m] = cur - cf
-        return MultiPoly.from_map(self.space, acc)
+        for k, cf in other.terms:
+            cur = acc.get(k)
+            acc[k] = -cf if cur is None else cur - cf
+        return _from_keys(self.space, acc)
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.space, tuple((m, -cf) for m, cf in self.terms))
+        return MultiPoly(self.space, tuple([(k, -cf) for k, cf in self.terms]))
 
     def __mul__(self, other: MultiPoly) -> MultiPoly:
         self._require_same_space(other)
-        if self.is_zero() or other.is_zero():
-            return MultiPoly.zero(self.space)
-        d1, a = _int_form(self.terms)
-        d2, b = _int_form(other.terms)
-        return _from_int_form(self.space, _imul(a, b), d1 * d2)
+        space = self.space
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return MultiPoly.zero(space)
+        if len(b) == 1:
+            poly = self
+        elif len(a) == 1:
+            poly, a, b = other, b, a
+        else:
+            d1, ia = _int_form(a)
+            d2, ib = _int_form(b)
+            return _from_int_form(space, _imul(space, ia, ib), d1 * d2)
+        # b is one term kb*cb: a constant scales, and shifting every key by
+        # kb keeps their order.
+        kb, cb = b[0]
+        if kb == 0:
+            return poly.scale(cb)
+        _check_degree(space, a[0][0] + kb)
+        if cb.is_one():
+            return MultiPoly(space, tuple([(k + kb, c) for k, c in a]))
+        return MultiPoly(space, tuple([(k + kb, c * cb) for k, c in a]))
 
     def scale(self, factor: GaussianRational) -> MultiPoly:
         if factor.is_zero():
             return MultiPoly.zero(self.space)
-        return MultiPoly(self.space, tuple((m, cf * factor) for m, cf in self.terms))
+        if factor.is_one():
+            return self
+        return MultiPoly(self.space, tuple([(k, cf * factor) for k, cf in self.terms]))
 
     def pow(self, e: int) -> MultiPoly:
         if e < 0:
@@ -303,35 +384,44 @@ class MultiPoly:
     # -- calculus / field structure ---------------------------------------
 
     def diff(self, slot: int) -> MultiPoly:
-        # Lowering one exponent keeps the grlex order of the surviving terms.
+        # Lowering one exponent keeps the order of the surviving terms.
+        shift, unit = _slot_field(self.space, slot)
         out = []
-        for m, (a, b, d) in self.terms:
-            e = m[slot]
-            if e == 0:
-                continue
-            mm = m[:slot] + (e - 1,) + m[slot + 1 :]
-            out.append((mm, reduced(a * e, b * e, d)))
+        for k, (a, b, d) in self.terms:
+            e = (k >> shift) & MAX_DEGREE
+            if e:
+                out.append((k - unit, reduced(a * e, b * e, d)))
         return MultiPoly(self.space, tuple(out))
 
     def conj(self) -> MultiPoly:
-        acc = {
-            self.space.conj_monomial(m): cf.conj() for m, cf in self.terms
-        }
-        return MultiPoly.from_map(self.space, acc)
+        # Swap the z fields with the zb fields; the degree and u fields stay.
+        width = FIELD_BITS * self.space.n
+        z_fields = (1 << width) - 1
+        zb_fields = z_fields << width
+        rest = ~(z_fields | zb_fields)
+        out = [
+            ((k & rest) | (k & z_fields) << width | (k & zb_fields) >> width, cf.conj())
+            for k, cf in self.terms
+        ]
+        out.sort(reverse=True)
+        return MultiPoly(self.space, tuple(out))
 
     def eval(self, values: tuple[GaussianRational, ...]) -> GaussianRational:
-        if len(values) != self.space.nvars:
+        nv = self.space.nvars
+        if len(values) != nv:
             raise ValueError("wrong number of point coordinates")
-        if not self.terms:
-            return gr(0)
+        terms = self.terms
+        if not terms:
+            return GR_ZERO
+        if values.count(GR_ZERO) == nv:
+            k, cf = terms[-1]
+            return cf if k == 0 else GR_ZERO
         # With v_s = (a_s + b_s I)/d_s and t_s the degree in slot s, each
         # term times prod d_s^t_s is a Gaussian integer built from the
         # table (a_s + b_s I)^e d_s^(t_s - e); one division at the end.
-        top = list(self.terms[0][0])
-        for m, _ in self.terms:
-            for s, e in enumerate(m):
-                if e > top[s]:
-                    top[s] = e
+        den, ip = _int_form(terms)
+        monos = [(_unpack(k, nv), c) for k, c in ip.items()]
+        top = [max(col) for col in zip(*(m for m, _ in monos))]
         tables = []
         scale = 1
         for (a, b, d), t in zip(values, top):
@@ -341,9 +431,8 @@ class MultiPoly:
                 ups.append((x * a - y * b, x * b + y * a))
             tables.append([(x * d ** (t - e), y * d ** (t - e)) for e, (x, y) in enumerate(ups)])
             scale *= d**t
-        den, ip = _int_form(self.terms)
         re = im = 0
-        for m, (x, y) in ip.items():
+        for m, (x, y) in monos:
             for s, e in enumerate(m):
                 px, py = tables[s][e]
                 if py or px != 1:
@@ -355,18 +444,14 @@ class MultiPoly:
     def monic(self) -> MultiPoly:
         if self.is_zero():
             return self
-        lc = self.leading_coeff()
-        if lc.is_one():
-            return self
-        inv = lc.inverse()
-        return self.scale(inv)
+        return self.scale(self.leading_coeff().inverse())
 
     def divexact(self, divisor: MultiPoly) -> MultiPoly:
         """Exact division; raises ExactDivisionError if it does not divide.
 
         Division by leading terms on the Gaussian-integer forms. The
-        remainder's leading term comes from a heap of grlex keys instead of
-        a scan of the whole remainder (Monagan & Pearce, "Polynomial
+        remainder's leading term comes from a heap of keys instead of a
+        scan of the whole remainder (Monagan & Pearce, "Polynomial
         division using dynamic arrays, heaps, and packed exponent vectors",
         CASC 2007).
         """
@@ -377,42 +462,31 @@ class MultiPoly:
             return self
         if divisor.is_constant():
             return self.scale(divisor.as_constant().inverse())
-        f_terms, g_terms = self.terms, divisor.terms
-        g_lm = g_terms[0][0]
-        # Every remainder monomial is at most the dividend's leading one in
-        # grlex, so no exponent exceeds its total degree; nor does any of
-        # the divisor's once its leading monomial divides that one.
-        nv = len(g_lm)
-        base = sum(f_terms[0][0]) + 1
-        top = base**nv
-        weights = _grlex_weights(nv, base)
-        f_den, rem_int = _int_form(f_terms)
-        g_den, g_int = _int_form(g_terms)
-        lx, ly = g_int.pop(g_lm)
+        g_key = divisor.terms[0][0]
+        # (shift, exponent) of each slot in the divisor's leading monomial
+        needs = [
+            (FIELD_BITS * s, e)
+            for s, e in enumerate(_unpack(g_key, self.space.nvars)) if e
+        ]
+        scale, rem = _int_form(self.terms)
+        g_den, g_int = _int_form(divisor.terms)
+        lx, ly = g_int.pop(g_key)
         norm = lx * lx + ly * ly
-        g_key = sum(map(mul, g_lm, weights))
         # Each other divisor term as (key offset from the leading one, re, im).
-        g_rest = [(sum(map(mul, m, weights)) - g_key, x, y) for m, (x, y) in g_int.items()]
+        g_rest = [(k - g_key, x, y) for k, (x, y) in g_int.items()]
         # The remainder is rem / scale, with Gaussian-integer values keyed
-        # by grlex key. The dividend's terms come sorted, so the negated
+        # by monomial key. The dividend's terms come sorted, so the negated
         # keys already form a heap.
-        rem = {sum(map(mul, m, weights)): c for m, c in rem_int.items()}
         heap = [-k for k in rem]
-        scale = f_den
         out = []
         while heap:
             k = -heappop(heap)
             lead = rem.pop(k, None)
             if lead is None:
                 continue
-            low = k % top
-            m = []
-            for _ in range(nv):
-                low, e = divmod(low, base)
-                m.append(e)
-            qm = tuple(map(sub, m, g_lm))
-            if min(qm) < 0:
-                raise ExactDivisionError("polynomial does not divide exactly")
+            for shift, e in needs:
+                if (k >> shift) & MAX_DEGREE < e:
+                    raise ExactDivisionError("polynomial does not divide exactly")
             # The quotient term is t / scale * g_den with t = r conj(l) / norm
             # for the leading values r of the remainder and l of the divisor.
             # When norm does not divide r conj(l), the remainder is scaled up
@@ -429,7 +503,7 @@ class MultiPoly:
                     ty *= up
                 tx //= norm
                 ty //= norm
-            out.append((qm, reduced(tx * g_den, ty * g_den, scale)))
+            out.append((k - g_key, reduced(tx * g_den, ty * g_den, scale)))
             for dk, dx, dy in g_rest:
                 mk = k + dk
                 px = tx * dx - ty * dy
@@ -455,6 +529,16 @@ class MultiPoly:
         return poly_to_text(self)
 
 
+def may_divide(f: MultiPoly, p: MultiPoly) -> bool:
+    """False when p cannot divide f: the leading and the trailing monomial
+    of a product are the products of the factors' ones."""
+    nv = f.space.nvars
+    for kf, kp in ((f.terms[0][0], p.terms[0][0]), (f.terms[-1][0], p.terms[-1][0])):
+        if not all(map(le, _unpack(kp, nv), _unpack(kf, nv))):
+            return False
+    return True
+
+
 # -- gcd via content / primitive-part recursion ----------------------------
 #
 # The base field Q(i) makes contents of constant polynomials units, so the
@@ -462,40 +546,26 @@ class MultiPoly:
 
 
 def _monomial_content(p: MultiPoly) -> Monomial:
-    mins = list(p.terms[0][0])
-    for m, _ in p.terms[1:]:
-        for i, e in enumerate(m):
-            if e < mins[i]:
-                mins[i] = e
-    return tuple(mins)
+    nv = p.space.nvars
+    return tuple(min(col) for col in zip(*(_unpack(k, nv) for k, _ in p.terms)))
 
 
 def _shift_down(p: MultiPoly, m: Monomial) -> MultiPoly:
-    if all(e == 0 for e in m):
+    if not any(m):
         return p
-    return MultiPoly(
-        p.space,
-        tuple((tuple(a - b for a, b in zip(mm, m)), cf) for mm, cf in p.terms),
-    )
+    key = _pack(m)
+    return MultiPoly(p.space, tuple([(k - key, cf) for k, cf in p.terms]))
 
 
 def _univariate_view(p: MultiPoly, slot: int) -> dict[int, MultiPoly]:
     """Coefficients of p seen as a polynomial in one slot."""
-    buckets: dict[int, dict[Monomial, GaussianRational]] = {}
-    for m, cf in p.terms:
-        e = m[slot]
-        mm = m[:slot] + (0,) + m[slot + 1 :]
-        buckets.setdefault(e, {})[mm] = cf
-    return {e: MultiPoly.from_map(p.space, b) for e, b in buckets.items()}
-
-
-def _from_univariate(space: VarSpace, slot: int, coeffs: dict[int, MultiPoly]) -> MultiPoly:
-    acc: dict[Monomial, GaussianRational] = {}
-    for e, cp in coeffs.items():
-        for m, cf in cp.terms:
-            mm = m[:slot] + (e,) + m[slot + 1 :]
-            acc[mm] = cf
-    return MultiPoly.from_map(space, acc)
+    shift, unit = _slot_field(p.space, slot)
+    buckets: dict[int, list[tuple[int, GaussianRational]]] = {}
+    for k, cf in p.terms:
+        e = (k >> shift) & MAX_DEGREE
+        buckets.setdefault(e, []).append((k - e * unit, cf))
+    # Lowering every key of a bucket by the same amount keeps their order.
+    return {e: MultiPoly(p.space, tuple(b)) for e, b in buckets.items()}
 
 
 def _content_in(p: MultiPoly, slot: int) -> MultiPoly:
@@ -523,7 +593,7 @@ _CERT_ATTEMPTS = 3
 
 
 def _image_coeffs(
-    p: IPoly, slot: int, vals: tuple[int, ...]
+    p: dict[Monomial, ICoeff], slot: int, vals: tuple[int, ...]
 ) -> dict[int, GaussianRational]:
     """p as a polynomial in one slot, with every other slot set to vals."""
     out: dict[int, ICoeff] = {}
@@ -591,8 +661,9 @@ def _coprimality_scan(f: MultiPoly, g: MultiPoly) -> tuple[bool, int | None]:
     all_zero = True
     # Scaling by a constant changes neither the images' degrees nor their
     # gcd's, so the images are taken of the Gaussian-integer forms.
-    f_int = _int_form(f.terms)[1]
-    g_int = _int_form(g.terms)[1]
+    nv = space.nvars
+    f_int = {_unpack(k, nv): c for k, c in _int_form(f.terms)[1].items()}
+    g_int = {_unpack(k, nv): c for k, c in _int_form(g.terms)[1].items()}
     for s in shared:
         df = f.degree_in(s)
         dg = g.degree_in(s)
@@ -624,9 +695,11 @@ def _coprimality_scan(f: MultiPoly, g: MultiPoly) -> tuple[bool, int | None]:
 
 
 def _int_layers(p: MultiPoly, slot: int) -> dict[int, IPoly]:
+    shift, unit = _slot_field(p.space, slot)
     out: dict[int, IPoly] = {}
-    for m, c in _int_form(p.terms)[1].items():
-        out.setdefault(m[slot], {})[m[:slot] + (0,) + m[slot + 1 :]] = c
+    for k, c in _int_form(p.terms)[1].items():
+        e = (k >> shift) & MAX_DEGREE
+        out.setdefault(e, {})[k - e * unit] = c
     return out
 
 
@@ -659,12 +732,12 @@ def _prem(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
         lf = fu.pop(df)
         new: dict[int, IPoly] = {}
         for e, cp in fu.items():
-            new[e] = _imul(cp, lcg)
+            new[e] = _imul(space, cp, lcg)
         for e, cp in gu.items():
             if e == dg:
                 continue
             shift = e + df - dg
-            prod = _imul(cp, lf)
+            prod = _imul(space, cp, lf)
             cur = new.get(shift)
             if cur is None:
                 new[shift] = {m: (-re, -im) for m, (re, im) in prod.items()}
@@ -680,10 +753,13 @@ def _prem(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
                         merged.pop(m, None)
                 new[shift] = merged
         fu = _istrip({e: cp for e, cp in new.items() if cp})
+    unit = _slot_field(space, slot)[1]
     acc: IPoly = {}
     for e, cp in fu.items():
-        for mm, c in cp.items():
-            acc[mm[:slot] + (e,) + mm[slot + 1 :]] = c
+        for k, c in cp.items():
+            acc[k + e * unit] = c
+    if acc:
+        _check_degree(space, max(acc))
     return _from_int_form(space, acc)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gaussian import GaussianRational, gr
-from .poly import ExactDivisionError, MultiPoly, VarSpace, poly_gcd
+from .poly import ExactDivisionError, MultiPoly, VarSpace, may_divide, poly_gcd
 
 Atoms = tuple[tuple[MultiPoly, int], ...]
 
@@ -128,22 +128,17 @@ def _power_product(basis: Sequence[MultiPoly], exps: Sequence[int], space: VarSp
     return MultiPoly.one(space) if out is None else out
 
 
-def _may_divide(f: MultiPoly, p: MultiPoly) -> bool:
-    """False when p cannot divide f: the leading and the trailing monomial
-    of a product are the products of the factors' ones."""
-    for (mf, _), (mp, _) in ((f.terms[0], p.terms[0]), (f.terms[-1], p.terms[-1])):
-        for a, b in zip(mf, mp):
-            if a < b:
-                return False
-    return True
-
-
 def _times(p: MultiPoly, cofactor: MultiPoly) -> MultiPoly:
     return p if cofactor.is_one() else p * cofactor
 
 
 def _atoms(basis: Sequence[MultiPoly], exps: Sequence[int]) -> Atoms:
     return tuple((p, e) for p, e in zip(basis, exps) if e)
+
+
+# One zero and one unit expression per variable space.
+_ZEROS: dict[VarSpace, RationalExpr] = {}
+_ONES: dict[VarSpace, RationalExpr] = {}
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -177,11 +172,17 @@ class RationalExpr:
 
     @staticmethod
     def zero(space: VarSpace) -> RationalExpr:
-        return RationalExpr.from_poly(MultiPoly.zero(space))
+        z = _ZEROS.get(space)
+        if z is None:
+            z = _ZEROS[space] = RationalExpr.from_poly(MultiPoly.zero(space))
+        return z
 
     @staticmethod
     def one(space: VarSpace) -> RationalExpr:
-        return RationalExpr.from_poly(MultiPoly.one(space))
+        u = _ONES.get(space)
+        if u is None:
+            u = _ONES[space] = RationalExpr.from_poly(MultiPoly.one(space))
+        return u
 
     @staticmethod
     def const(space: VarSpace, value: GaussianRational) -> RationalExpr:
@@ -209,7 +210,7 @@ class RationalExpr:
             work = [(atom, exp)]
             while work:
                 p, e = work.pop()
-                while e and _may_divide(num, p):
+                while e and may_divide(num, p):
                     try:
                         num = num.divexact(p)
                     except ExactDivisionError:

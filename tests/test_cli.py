@@ -25,6 +25,7 @@ from conftest import (
 )
 from crclass.classify import MAX_HULL_DEPTH
 from crclass.errors import InternalAssertion
+from crclass.poly import MAX_DEGREE
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -297,6 +298,15 @@ def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "nested deeper than" in err
     assert err.count("\n") == 1
+
+
+def test_degree_past_the_cap_exits_one(tmp_path, capsys):
+    # 129 factors of degree 512 pass MAX_DEGREE = 65535 at the 128th.
+    phi = "*".join(["z1^512"] * 129)
+    path = write_spec(tmp_path, (1, 1, [phi]))
+    code, out, err = run_cli(capsys, "classify", "--input", path)
+    assert code == 1 and out == ""
+    assert err == f"error: polynomial degree exceeds {MAX_DEGREE}\n"
 
 
 def test_moderate_nesting_parses(tmp_path, capsys):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crclass.errors import DegreeOverflowError
 from crclass.gaussian import GR_I, GR_ONE, gr
 from crclass.poly import (
+    MAX_DEGREE,
     ExactDivisionError,
     MultiPoly,
     VarSpace,
@@ -119,6 +121,70 @@ def test_ring_axioms(a, b, c):
     assert a * MultiPoly.one(SP) == a
 
 
+def _term_key(m):
+    # The graded-lex sort key the packed keys replace: total degree first,
+    # then the exponent vector read from the last slot down.
+    return (sum(m), m[::-1])
+
+
+# Exponents small enough to tie and large enough to fill a key field.
+wide_exponents = st.tuples(
+    *(st.integers(0, 3) | st.integers(MAX_DEGREE // 5 - 2, MAX_DEGREE // 5) for _ in range(5))
+)
+
+
+@given(st.lists(wide_exponents, min_size=1, max_size=8, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_term_order_is_the_old_grlex_order(monos):
+    p = MultiPoly.zero(SP)
+    for m in monos:
+        p = p + _mono(m, GR_ONE)
+    assert [m for m, _ in p.monomials()] == sorted(monos, key=_term_key, reverse=True)
+    assert p.leading_monomial() == max(monos, key=_term_key)
+    assert p.total_degree() == max(map(sum, monos))
+    for s in range(5):
+        assert p.degree_in(s) == max(m[s] for m in monos)
+
+
+@st.composite
+def short_polys(draw):
+    """A constant or a single term, either with a unit coefficient or not."""
+    expo = draw(st.just((0,) * 5) | exponents)
+    coeff = draw(st.just(GR_ONE) | rational_coeffs)
+    return _mono(expo, coeff)
+
+
+@given(polys(coeffs=rational_coeffs), short_polys())
+@settings(max_examples=100, deadline=None)
+def test_short_operand_products_match_term_by_term(a, b):
+    want = MultiPoly.zero(SP)
+    for ma, ca in a.monomials():
+        for mb, cb in b.monomials():
+            want = want + _mono(tuple(x + y for x, y in zip(ma, mb)), ca * cb)
+    assert a * b == want
+    assert b * a == want
+
+
+def test_degree_cap():
+    top = Z1.pow(MAX_DEGREE - 1)
+    assert (top * ZB1).leading_monomial() == (MAX_DEGREE - 1, 0, 1, 0, 0)
+    assert ((top + ZB1) * (Z1 + U1)).total_degree() == MAX_DEGREE
+    # the last slot's field at its largest value does not spill into the
+    # degree field, and still orders above the first slot's
+    u_top = MultiPoly.monomial(SP, (0, 0, 0, 0, MAX_DEGREE), GR_ONE)
+    assert u_top.total_degree() == MAX_DEGREE
+    assert u_top.leading_monomial() == (0, 0, 0, 0, MAX_DEGREE)
+    assert (u_top + top * Z1).monomials()[0][0] == (0, 0, 0, 0, MAX_DEGREE)
+    with pytest.raises(DegreeOverflowError):
+        top * Z1 * Z1
+    with pytest.raises(DegreeOverflowError):
+        top * (Z1 + ZB1) * (Z2 + U1)
+    with pytest.raises(DegreeOverflowError):
+        u_top * U1
+    with pytest.raises(DegreeOverflowError):
+        MultiPoly.monomial(SP, (1, 0, 0, 0, MAX_DEGREE), GR_ONE)
+
+
 @given(polys(), polys())
 @settings(max_examples=60, deadline=None)
 def test_diff_product_rule(a, b):
@@ -142,11 +208,14 @@ def test_eval_is_hom(a, b):
     assert (a + b).eval(vals) == a.eval(vals) + b.eval(vals)
 
 
-@given(polys(coeffs=rational_coeffs), st.lists(rational_coeffs, min_size=5, max_size=5))
+@given(
+    polys(coeffs=rational_coeffs),
+    st.lists(rational_coeffs, min_size=5, max_size=5) | st.just([gr(0)] * 5),
+)
 @settings(max_examples=60, deadline=None)
 def test_eval_matches_term_by_term(a, point):
     want = gr(0)
-    for m, cf in a.terms:
+    for m, cf in a.monomials():
         term = cf
         for slot, e in enumerate(m):
             for _ in range(e):
