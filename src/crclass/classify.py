@@ -268,9 +268,10 @@ def lie_hull_rank(vm: ValidatedManifold, max_depth: int = 4) -> HullResult:
     of the full bracket tables.
 
     The basis keeps its cleared columns and the rows of a nonzero maximal
-    minor; a bracket raises the rank exactly when one of the minors on
-    those rows plus one more row, against the basis and the bracket, is
-    nonzero (linalg.raising_row), so the basis is never ranked again.
+    minor; a bracket raises the rank exactly when that minor has a
+    nonzero extension by one more row and the bracket's column (the
+    Schur complement step of linalg.generic_rank_matrix, run by
+    linalg.raising_row), so the basis is never ranked again.
 
     Once the rank reaches 2n + c, or a depth adds no field, the span is
     the same at every later depth, so the remaining depths repeat the

@@ -20,7 +20,7 @@ from .errors import DependentFrameError, FrameSingularError, NotInSpanError
 from .gaussian import GR_I, GaussianRational
 from .linalg import (
     RankCertificate,
-    det_expr,
+    cramer_solve,
     generic_rank_matrix,
     rank_at_point_matrix,
 )
@@ -177,14 +177,8 @@ def cramer_frame(vm: ValidatedManifold) -> FrameData:
     fields = []
     for i in range(n):
         rhs = [-vm.phi[j].diff(space.z_slot(i)) for j in range(c)]
-        a_i = []
-        for l in range(c):
-            replaced = [
-                [rhs[j] if col == l else system[j][col] for col in range(c)]
-                for j in range(c)
-            ]
-            a_i.append(det_expr(replaced) / den)
-        a_rows.append(tuple(a_i))
+        a_i = cramer_solve(system, rhs, den)
+        a_rows.append(a_i)
         coeffs = [RationalExpr.zero(space)] * space.nvars
         coeffs[space.z_slot(i)] = RationalExpr.one(space)
         for l in range(c):
@@ -308,20 +302,13 @@ def decompose_in_frame(
     if cert.rank < k:
         raise DependentFrameError("frame fields are generically dependent")
     mat = field_matrix(fields)
-    den = det_expr([mat[r] for r in cert.rows])
-    lams = []
-    for j in range(k):
-        replaced = [
-            [target.coeffs[r] if col == j else mat[r][col] for col in range(k)]
-            for r in cert.rows
-        ]
-        lams.append(det_expr(replaced) / den)
+    lams = cramer_solve([mat[r] for r in cert.rows], [target.coeffs[r] for r in cert.rows])
     residual = target
     for lam, f in zip(lams, fields):
         residual = residual - f.scale(lam)
     if not residual.is_zero():
         raise NotInSpanError("target field is not in the span of the frame")
-    return tuple(lams)
+    return lams
 
 
 def change_frame(

@@ -28,7 +28,13 @@ from .frames import (
     rho0,
 )
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr
-from .linalg import RankCertificate, det_expr, generic_rank_matrix, rank_at_point_matrix
+from .linalg import (
+    RankCertificate,
+    cramer_solve,
+    det_expr,
+    generic_rank_matrix,
+    rank_at_point_matrix,
+)
 from .manifold import ValidatedManifold
 from .ratfunc import PoleError, RationalExpr
 
@@ -308,14 +314,13 @@ def _kernel_data(
     if not (rows[1][0] * k + rows[1][1]).is_zero():
         raise InternalAssertion("kernel membership failed in the second Levi row")
     # kappa0 = zeta^1 - k*zeta^2 for the coframe zeta dual to the z-parts
-    # Z of the fields (invertible: change_frame admits no singular matrix);
-    # zeta^i has z-coefficients row i of (Z^-1)^T = cofactors / det Z
+    # Z of the fields (invertible: change_frame admits no singular matrix),
+    # so its z-coefficients w solve Z w = (1, -k): kappa0 is 1 on fields[0]
+    # and -k on fields[1]
     z = [[f.coeffs[space.z_slot(col)] for col in range(2)] for f in fields]
-    inv = det_expr(z).inverse()
-    zeta = ((z[1][1], -z[1][0]), (-z[0][1], z[0][0]))
+    w = cramer_solve(z, [RationalExpr.one(space), -k])
     coeffs = [RationalExpr.zero(space)] * space.nvars
-    for col in range(2):
-        coeffs[space.z_slot(col)] = (zeta[0][col] - k * zeta[1][col]) * inv
+    coeffs[space.z_slot(0)], coeffs[space.z_slot(1)] = w
     kappa0 = OneForm(space, tuple(coeffs))
     lbar1 = fields[0].conj()
     if not kappa0.apply(big_k).is_zero():

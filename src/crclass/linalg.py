@@ -1,79 +1,68 @@
 """Exact linear algebra over the rational-function field.
 
-Matrices are lists of rows. Generic rank is decided by exhibiting a
-nonzero minor; every rank claim carries a witness (row indices, column
-indices, and the minor itself) so it can be rechecked independently.
-Columns are cleared of denominators first, which cannot change rank:
-each column is scaled by a nonzero polynomial.
+Matrices are lists of rows. Every determinant, whether a rank witness,
+a Cramer numerator or a plain det, comes from one memoised expansion
+along the first row (`_minor`), on polynomial or rational entries.
+Generic rank is decided by exhibiting a nonzero minor; every rank claim
+carries a witness (row indices, column indices, and the minor itself)
+so it can be rechecked independently. Columns are cleared of
+denominators first, which cannot change rank: each column is scaled by
+a nonzero polynomial. Ranks at a point use forward elimination over Q(i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 from .gaussian import GaussianRational, gr
 from .poly import MultiPoly
 from .ratfunc import RationalExpr, cleared_column
 
-
-def det_expr(rows: Sequence[Sequence[RationalExpr]]) -> RationalExpr:
-    """Laplace-expansion determinant of a small RationalExpr matrix."""
-    size = len(rows)
-    for r in rows:
-        if len(r) != size:
-            raise ValueError("determinant needs a square matrix")
-    if size == 0:
-        raise ValueError("empty matrix has no determinant")
-    if size == 1:
-        return rows[0][0]
-    if size == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    result = None
-    for j in range(size):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [
-            [rows[r][cc] for cc in range(size) if cc != j]
-            for r in range(1, size)
-        ]
-        term = entry * det_expr(minor)
-        if j % 2 == 1:
-            term = -term
-        result = term if result is None else result + term
-    if result is None:
-        return RationalExpr.zero(rows[0][0].space)
-    return result
+Entry = MultiPoly | RationalExpr
 
 
-def _det_poly_memo(
-    rows: Sequence[Sequence[MultiPoly]],
+def _minor(
+    rows: Sequence[Sequence[Entry]],
     row_idx: tuple[int, ...],
     col_idx: tuple[int, ...],
-    cache: dict[tuple[tuple[int, ...], tuple[int, ...]], MultiPoly],
-) -> MultiPoly:
+    cache: dict,
+) -> Entry:
+    """Determinant of rows[row_idx][col_idx], MultiPoly or RationalExpr
+    entries, by expansion along the first selected row. Zero entries are
+    skipped and every sub-minor is cached under its (rows, cols) tuples,
+    so minors that share rows and columns expand them once.
+    """
     key = (row_idx, col_idx)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    space = rows[0][0].space
+    top = rows[row_idx[0]]
     if len(row_idx) == 1:
-        value = rows[row_idx[0]][col_idx[0]]
+        value = top[col_idx[0]]
     else:
-        value = MultiPoly.zero(space)
-        top = row_idx[0]
+        first = top[col_idx[0]]
+        value = type(first).zero(first.space)
         rest = row_idx[1:]
         for pos, col in enumerate(col_idx):
-            entry = rows[top][col]
+            entry = top[col]
             if entry.is_zero():
                 continue
             sub_cols = col_idx[:pos] + col_idx[pos + 1 :]
-            term = entry * _det_poly_memo(rows, rest, sub_cols, cache)
+            term = entry * _minor(rows, rest, sub_cols, cache)
             value = value - term if pos % 2 == 1 else value + term
     cache[key] = value
     return value
+
+
+def det_expr(rows: Sequence[Sequence[RationalExpr]]) -> RationalExpr:
+    """Determinant of a square RationalExpr matrix."""
+    size = len(rows)
+    if size == 0:
+        raise ValueError("empty matrix has no determinant")
+    if any(len(r) != size for r in rows):
+        raise ValueError("determinant needs a square matrix")
+    return _minor(rows, tuple(range(size)), tuple(range(size)), {})
 
 
 def det_poly(
@@ -85,9 +74,33 @@ def det_poly(
     """Determinant of the selected square submatrix of a MultiPoly matrix."""
     if len(row_idx) != len(col_idx):
         raise ValueError("minor needs equally many rows and columns")
-    if cache is None:
-        cache = {}
-    return _det_poly_memo(rows, row_idx, col_idx, cache)
+    return _minor(rows, row_idx, col_idx, {} if cache is None else cache)
+
+
+def cramer_solve(
+    rows: Sequence[Sequence[RationalExpr]],
+    rhs: Sequence[RationalExpr],
+    den: RationalExpr | None = None,
+) -> tuple[RationalExpr, ...]:
+    """The x with rows . x = rhs, for an invertible square matrix.
+
+    Cramer's rule on the matrix with rhs appended as a last column: x_j is
+    the minor that takes column j out and rhs in, over den = det(rows)
+    (computed unless given). All these minors share one cache, so the
+    sub-minors off the rhs column are expanded once for all of them.
+    """
+    size = len(rows)
+    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
+    all_rows = tuple(range(size))
+    cache: dict = {}
+    if den is None:
+        den = _minor(augmented, all_rows, all_rows, cache)
+    out = []
+    for j in range(size):
+        # rhs sits last here, size - 1 - j column swaps from position j
+        num = _minor(augmented, all_rows, all_rows[:j] + all_rows[j + 1 :] + (size,), cache)
+        out.append((-num if (size - 1 - j) % 2 else num) / den)
+    return tuple(out)
 
 
 def clear_columns(rows: Sequence[Sequence[RationalExpr]]) -> list[list[MultiPoly]]:
@@ -116,49 +129,44 @@ class RankCertificate:
         }
 
 
+def _extend(
+    matrix: Sequence[Sequence[MultiPoly]], rows: Sequence[int], cols: Sequence[int], cache: dict
+) -> tuple[tuple[int, ...], tuple[int, ...], MultiPoly] | None:
+    """The first nonzero minor on rows + (i,) and cols + (j,), trying the
+    rows i outside `rows` and then the columns j outside `cols` in index
+    order, as (sorted rows, sorted cols, minor); None if all vanish.
+    """
+    for i in range(len(matrix)):
+        if i in rows:
+            continue
+        rows_try = tuple(sorted((*rows, i)))
+        for j in range(len(matrix[0])):
+            if j in cols:
+                continue
+            cols_try = tuple(sorted((*cols, j)))
+            minor = det_poly(matrix, rows_try, cols_try, cache)
+            if not minor.is_zero():
+                return rows_try, cols_try, minor
+    return None
+
+
 def generic_rank_matrix(rows: Sequence[Sequence[RationalExpr]]) -> RankCertificate:
     """Largest r with a nonzero r x r minor, plus one witness.
 
-    The search extends the previous witness first (cheap in the common
-    case) and falls back to exhaustive lexicographic enumeration, so the
-    result is deterministic and the reported rank is exact.
+    The witness grows one row and one column at a time (_extend), so the
+    result is deterministic. When every such extension of a nonzero r x r
+    minor A vanishes, the rank is exactly r: the extension by row i and
+    column j is det(A) times the (i, j) entry of the Schur complement of
+    A, so the complement is zero and rank = r + rank(complement) = r.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
+    if not rows or not rows[0]:
         return RankCertificate(0, (), (), None)
     cleared = clear_columns(rows)
     cache: dict = {}
-    best_rows: tuple[int, ...] = ()
-    best_cols: tuple[int, ...] = ()
-    best_minor: MultiPoly | None = None
-    for r in range(1, min(nrows, ncols) + 1):
-        found = None
-        row_pool = [i for i in range(nrows) if i not in best_rows]
-        col_pool = [j for j in range(ncols) if j not in best_cols]
-        for new_row in row_pool:
-            rows_try = tuple(sorted(best_rows + (new_row,)))
-            for new_col in col_pool:
-                cols_try = tuple(sorted(best_cols + (new_col,)))
-                minor = det_poly(cleared, rows_try, cols_try, cache)
-                if not minor.is_zero():
-                    found = (rows_try, cols_try, minor)
-                    break
-            if found:
-                break
-        if not found:
-            for rows_try in combinations(range(nrows), r):
-                for cols_try in combinations(range(ncols), r):
-                    minor = det_poly(cleared, rows_try, cols_try, cache)
-                    if not minor.is_zero():
-                        found = (rows_try, cols_try, minor)
-                        break
-                if found:
-                    break
-        if not found:
-            break
-        best_rows, best_cols, best_minor = found
-    return RankCertificate(len(best_rows), best_rows, best_cols, best_minor)
+    witness: tuple = ((), (), None)
+    while (step := _extend(cleared, witness[0], witness[1], cache)) is not None:
+        witness = step
+    return RankCertificate(len(witness[0]), *witness)
 
 
 # A point of Q(i)^nvars where raising_row evaluates its minors first.
@@ -173,8 +181,8 @@ def raising_row(
     columns are cleared columns; all but the last are independent, with a
     nonzero minor on `rows`. The last column lies in their span exactly
     when its Schur complement against that witness block vanishes, that
-    is when every minor on rows + (i,) and all columns vanishes. Returns
-    an i whose minor is nonzero, or None.
+    is when every extension of the witness by one row and the last column
+    vanishes. Returns an i whose extension is nonzero, or None.
 
     A minor that is nonzero at a point is nonzero, so the minors are
     first evaluated at a fixed point; only when all of them vanish there
@@ -188,37 +196,27 @@ def raising_row(
     for i in others:
         if rank_at_point_matrix([values[r] for r in sorted((*rows, i))]) == k:
             return i
-    for i in others:
-        minor = det_poly(matrix, tuple(sorted((*rows, i))), tuple(range(k)))
-        if not minor.is_zero():
-            return i
-    return None
+    step = _extend(matrix, rows, range(k - 1), {})
+    return None if step is None else next(i for i in step[0] if i not in rows)
 
 
 def rank_at_point_matrix(values: Sequence[Sequence[GaussianRational]]) -> int:
-    """Rank of a constant matrix by Gaussian elimination over Q(i)."""
+    """Rank of a constant matrix by forward elimination over Q(i)."""
     mat = [list(row) for row in values]
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
+    ncols = len(mat[0]) if mat else 0
     rank = 0
-    row = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if not mat[r][col].is_zero():
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(mat)) if not mat[r][col].is_zero()), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nrows):
-            if r != row and not mat[r][col].is_zero():
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        row += 1
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        inv = top[col].inverse()
+        for r in range(rank + 1, len(mat)):
+            if not mat[r][col].is_zero():
+                factor = mat[r][col] * inv
+                mat[r] = [a - factor * b for a, b in zip(mat[r], top)]
         rank += 1
-        if row == nrows:
+        if rank == len(mat):
             break
     return rank

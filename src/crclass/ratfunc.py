@@ -423,7 +423,3 @@ def cleared_column(column: Sequence[RationalExpr]) -> list[MultiPoly]:
         _times(e.num, _power_product(basis, [t - x for t, x in zip(top, row)], e.space))
         for e, row in zip(entries, exps)
     ]
-
-
-def re_int(space: VarSpace, value: int) -> RationalExpr:
-    return RationalExpr.const(space, gr(value))
