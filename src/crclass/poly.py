@@ -30,7 +30,6 @@ them back.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
@@ -230,6 +229,12 @@ class MultiPoly:
 
     space: VarSpace
     terms: tuple[tuple[int, GaussianRational], ...]
+    # set by is_linear_prime; unset until then, so construction pays nothing
+    _prime: bool = field(init=False, repr=False, compare=False)
+
+    def __reduce__(self) -> tuple:
+        # copies and pickles carry the value only: _prime may be unset
+        return MultiPoly, (self.space, self.terms)
 
     # -- constructors ------------------------------------------------------
 
@@ -545,9 +550,21 @@ def may_divide(f: MultiPoly, p: MultiPoly) -> bool:
 # recursion bottoms out at 1. Results are monic, so gcd output is canonical.
 
 
-def _monomial_content(p: MultiPoly) -> Monomial:
+def _exponent_range(p: MultiPoly) -> tuple[list[int], list[int]]:
+    """The least and the largest exponent of each slot over p's terms, in
+    one pass over the packed keys."""
     nv = p.space.nvars
-    return tuple(min(col) for col in zip(*(_unpack(k, nv) for k, _ in p.terms)))
+    lo = [MAX_DEGREE] * nv
+    hi = [0] * nv
+    shifts = tuple(enumerate(range(0, FIELD_BITS * nv, FIELD_BITS)))
+    for k, _ in p.terms:
+        for s, x in shifts:
+            e = k >> x & MAX_DEGREE
+            if e < lo[s]:
+                lo[s] = e
+            if e > hi[s]:
+                hi[s] = e
+    return lo, hi
 
 
 def _shift_down(p: MultiPoly, m: Monomial) -> MultiPoly:
@@ -568,124 +585,141 @@ def _univariate_view(p: MultiPoly, slot: int) -> dict[int, MultiPoly]:
     return {e: MultiPoly(p.space, tuple(b)) for e, b in buckets.items()}
 
 
-def _content_in(p: MultiPoly, slot: int) -> MultiPoly:
-    coeffs = sorted(_univariate_view(p, slot).values(), key=lambda q: len(q.terms))
-    acc = coeffs[0]
-    for q in coeffs[1:]:
-        if acc.is_constant():
+def _content_in(p: MultiPoly, slot: int, acc: MultiPoly | None = None) -> MultiPoly:
+    """gcd of p's coefficients in slot, and of acc if given; smallest first."""
+    for q in sorted(_univariate_view(p, slot).values(), key=lambda q: len(q.terms)):
+        if acc is not None and acc.is_constant():
             break
-        acc = poly_gcd(acc, q)
-    if acc.is_constant():
-        return MultiPoly.one(p.space)
-    return acc
+        acc = q if acc is None else poly_gcd(acc, q)
+    return MultiPoly.one(p.space) if acc.is_constant() else acc
 
 
-# -- coprimality certificate via univariate images --------------------------
-#
-# For one slot s, deg_s gcd(f, g) <= deg gcd(f(r), g(r)) whenever the leading
-# s-coefficient of f survives the evaluation r of the other slots: leading
-# s-coefficients multiply, so the gcd's leading coefficient divides f's and
-# survives too, and gcd(f, g)(r) keeps its s-degree while dividing the image
-# gcd. A zero bound for every shared slot proves the gcd is constant, which
-# skips the pseudo-remainder recursion entirely.
-
-_CERT_ATTEMPTS = 3
-
-
-def _image_coeffs(
-    p: dict[Monomial, ICoeff], slot: int, vals: tuple[int, ...]
-) -> dict[int, GaussianRational]:
-    """p as a polynomial in one slot, with every other slot set to vals."""
-    out: dict[int, ICoeff] = {}
-    for m, (x, y) in p.items():
-        k = 1
-        for s, e in enumerate(m):
-            if s != slot and e:
-                k *= vals[s] ** e
-        e = m[slot]
-        cur = out.get(e)
-        if cur is None:
-            out[e] = (x * k, y * k)
+def is_linear_prime(p: MultiPoly) -> bool:
+    """True when p is proven prime over Q(i) by the degree-1 test: if
+    p = a x + b in some slot x with gcd(a, b) = 1, p is primitive of degree
+    1 over the UFD Q(i)[other slots], hence irreducible. A constant a or b
+    needs no gcd; otherwise one gcd decides, since a common factor of a and
+    b divides p. The answer is recorded on p."""
+    known = getattr(p, "_prime", None)
+    if known is None:
+        known, pair = False, None
+        for s, d in enumerate(_exponent_range(p)[1]):
+            if d == 1:
+                view = _univariate_view(p, s)
+                if 0 not in view or view[0].is_constant() or view[1].is_constant():
+                    known = 0 in view or view[1].is_constant()
+                    break
+                pair = pair or (view[1], view[0])
         else:
-            out[e] = (cur[0] + x * k, cur[1] + y * k)
-    return {e: reduced(x, y, 1) for e, (x, y) in out.items() if x or y}
+            known = pair is not None and poly_gcd(*pair).is_one()
+        object.__setattr__(p, "_prime", known)
+    return known
 
 
-def _univ_gcd_degree(
-    a: dict[int, GaussianRational], b: dict[int, GaussianRational]
-) -> int:
-    if not a:
-        return max(b) if b else -1
+# -- coprimality certificate via univariate images mod a prime ----------------
+#
+# i -> _R maps Z[i] onto GF(_P), as _R^2 = -1 (mod _P) for the prime
+# _P = 1 (mod 4); (a + b i)/d maps to (a + b _R)/d, or, if _P divides d,
+# the polynomial is imaged through its Gaussian-integer form. Then every
+# slot but s is set to a fixed point. If F = H A and G = H B over Z[i], H
+# the primitive gcd of the Gaussian-integer forms, H's image divides both
+# images, and keeps its s-degree whenever F's leading s-coefficient
+# survives (leading coefficients multiply): deg_s H <= deg gcd(images).
+# A zero bound for every shared slot proves the gcd constant and skips the
+# pseudo-remainder recursion; an image that loses F's leading coefficient
+# is skipped, and a slot no point settles falls back to the recursion.
+# Each term is evaluated once per point, t = c prod_s v_s^e_s; grouped by
+# e_s, these are the coefficients of the image in slot s with x_s scaled
+# by v_s, which changes neither its degree nor its gcd's.
+
+_P = 1073741789
+_R = 140687844
+_POINTS = tuple(tuple(pow(3, 1 + s + 64 * a, _P) for s in range(64)) for a in range(3))
+
+
+def _residues(terms: tuple[tuple[int, GaussianRational], ...]) -> list[tuple[int, int]]:
+    """Each term's key and its coefficient's image in GF(_P)."""
+    inverse = {1: 1}
+    out = []
+    for k, (a, b, d) in terms:
+        m = inverse.get(d)
+        if m is None:
+            if not d % _P:
+                return [(k, (x + y * _R) % _P) for k, (x, y) in _int_form(terms)[1].items()]
+            m = inverse[d] = pow(d, -1, _P)
+        out.append((k, (a + b * _R) * m % _P))
+    return out
+
+
+def _slot_images(
+    residues: list[tuple[int, int]], vals: tuple[int, ...], top: list[int], slots: list[int]
+) -> dict[int, list[int]]:
+    """The dense image in GF(_P) of the polynomial in each of slots, every
+    other slot set to vals; top bounds the exponent of each slot."""
+    tables = [[pow(v, e, _P) for e in range(t + 1)] for v, t in zip(vals, top)]
+    out = {s: [0] * (top[s] + 1) for s in slots}
+    fields = [(FIELD_BITS * s, out[s]) for s in slots]
+    shifts = list(zip(range(0, FIELD_BITS * len(top), FIELD_BITS), tables))
+    for k, t in residues:
+        for x, row in shifts:
+            e = k >> x & MAX_DEGREE
+            if e:
+                t = t * row[e] % _P
+        for x, image in fields:
+            image[k >> x & MAX_DEGREE] += t
+    for image in out.values():
+        image[:] = [c % _P for c in image]
+        while image and not image[-1]:
+            image.pop()
+    return out
+
+
+def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in GF(_P)[x]; dense, trimmed, a nonzero."""
     while b:
-        if max(a) < max(b):
-            a, b = b, a
-        db = max(b)
-        lb = b[db]
-        bm = {e: c / lb for e, c in b.items()}
-        r = dict(a)
-        while r and max(r) >= db:
-            dr = max(r)
-            lr = r.pop(dr)
-            for e, c in bm.items():
-                if e == db:
-                    continue
-                shift = e + dr - db
-                cur = r.get(shift)
-                nxt = -(lr * c) if cur is None else cur - lr * c
-                if nxt.is_zero():
-                    r.pop(shift, None)
-                else:
-                    r[shift] = nxt
-        a, b = bm, r
-    return max(a)
+        inv = pow(b[-1], -1, _P)
+        n = len(b) - 1
+        while len(a) > n:
+            q = a.pop() * inv % _P
+            if q:
+                off = len(a) - n
+                for j in range(n):
+                    a[off + j] = (a[off + j] - q * b[j]) % _P
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
-def _coprimality_scan(f: MultiPoly, g: MultiPoly) -> tuple[bool, int | None]:
+def _coprimality_scan(
+    f: MultiPoly, g: MultiPoly, df: list[int] | None = None, dg: list[int] | None = None
+) -> tuple[bool, int | None]:
     """Certify gcd(f, g) constant, or suggest a pseudo-remainder pivot.
 
-    Returns (True, None) when every shared slot provably contributes degree
-    zero to the gcd; otherwise (False, slot) pointing at the slot whose
-    remainder chain looks shortest.
+    df and dg are the largest exponents of each slot in f and g, computed
+    when not given. Returns (True, None) when every shared slot provably
+    contributes degree zero to the gcd; otherwise (False, slot) pointing at
+    the slot whose remainder chain looks shortest.
     """
-    space = f.space
-    shared = [
-        s for s in range(space.nvars) if f.degree_in(s) > 0 and g.degree_in(s) > 0
-    ]
-    if not shared:
+    df = df or _exponent_range(f)[1]
+    dg = dg or _exponent_range(g)[1]
+    bound = {s: min(a, b) for s, (a, b) in enumerate(zip(df, dg)) if a and b}
+    if not bound:
         return True, None
-    point_sets: list[tuple[int, ...]] = []
-    for attempt in range(_CERT_ATTEMPTS):
-        rnd = random.Random((attempt << 8) | 0xA5)
-        point_sets.append(tuple(rnd.randrange(2, 20) for _ in range(space.nvars)))
-    best: tuple[int, int, int] | None = None
-    all_zero = True
-    # Scaling by a constant changes neither the images' degrees nor their
-    # gcd's, so the images are taken of the Gaussian-integer forms.
-    nv = space.nvars
-    f_int = {_unpack(k, nv): c for k, c in _int_form(f.terms)[1].items()}
-    g_int = {_unpack(k, nv): c for k, c in _int_form(g.terms)[1].items()}
-    for s in shared:
-        df = f.degree_in(s)
-        dg = g.degree_in(s)
-        bound = min(df, dg)
-        for vals in point_sets:
-            fi = _image_coeffs(f_int, s, vals)
-            if not fi or max(fi) != df:
-                continue
-            d = _univ_gcd_degree(fi, _image_coeffs(g_int, s, vals))
-            if d < bound:
-                bound = d
-            if bound == 0:
-                break
-        if bound > 0:
-            all_zero = False
-            key = (min(df, dg) - bound, min(df, dg), s)
-            if best is None or key < best:
-                best = key
-    if all_zero:
-        return True, None
-    pivot = best[2] if best is not None else shared[-1]
-    return False, pivot
+    top = list(map(max, df, dg))
+    f_res, g_res = _residues(f.terms), _residues(g.terms)
+    for vals in _POINTS:
+        slots = list(bound)
+        fi = _slot_images(f_res, vals, top, slots)
+        gi = _slot_images(g_res, vals, top, slots)
+        for s in slots:
+            if len(fi[s]) == df[s] + 1:
+                bound[s] = min(bound[s], _gcd_degree_mod(fi[s], gi[s]))
+                if not bound[s]:
+                    del bound[s]
+        if not bound:
+            return True, None
+    return False, min(bound, key=lambda s: (min(df[s], dg[s]) - bound[s], min(df[s], dg[s]), s))
 
 
 # The pseudo-remainder loop squares coefficient sizes at every step, so the
@@ -764,8 +798,7 @@ def _prem(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
 
 
 def _primitive_part(p: MultiPoly, slot: int) -> MultiPoly:
-    mono = _monomial_content(p)
-    p = _shift_down(p, mono)
+    p = _shift_down(p, _exponent_range(p)[0])
     cont = _content_in(p, slot)
     if not cont.is_one():
         p = p.divexact(cont)
@@ -781,17 +814,25 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         return f.monic()
     if f.is_constant() or g.is_constant():
         return MultiPoly.one(f.space)
-    mf = _monomial_content(f)
-    mg = _monomial_content(g)
-    common = tuple(min(a, b) for a, b in zip(mf, mg))
-    f = _shift_down(f, mf)
-    g = _shift_down(g, mg)
-    shared = MultiPoly.monomial(f.space, common, GR_ONE)
-    if f.is_constant() or g.is_constant():
+    lo_f, hi_f = _exponent_range(f)
+    lo_g, hi_g = _exponent_range(g)
+    f = _shift_down(f, lo_f)
+    g = _shift_down(g, lo_g)
+    shared = MultiPoly.monomial(f.space, tuple(map(min, lo_f, lo_g)), GR_ONE)
+    df = [h - l for h, l in zip(hi_f, lo_f)]
+    dg = [h - l for h, l in zip(hi_g, lo_g)]
+    if not any(df) or not any(dg):
         return shared
-    coprime, pivot = _coprimality_scan(f, g)
+    coprime, pivot = _coprimality_scan(f, g, df, dg)
     if coprime:
         return shared
+    # A slot in one operand only is free of the gcd: gcd(f, g) is the gcd
+    # of the other operand with f's coefficients in that slot.
+    for s, (a, b) in enumerate(zip(df, dg)):
+        if a and not b:
+            return (shared * _content_in(f, s, g)).monic()
+        if b and not a:
+            return (shared * _content_in(g, s, f)).monic()
     core = _gcd_primitive(f, g, pivot)
     return (shared * core).monic()
 

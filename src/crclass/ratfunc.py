@@ -18,6 +18,13 @@ where the value must be exact or shows: `reduce`, which equality,
 hashing, printing and the explicit divisions go through. It divides the
 numerator by the gcd with each atom, splitting an atom when the gcd is a
 proper factor. "Identically zero" needs no reduction: it is num = 0.
+
+An atom of degree 1 in some variable, with coprime coefficients there,
+is prime (`poly.is_linear_prime`, decided once per atom). For a prime
+atom, trial division settles the gcd, and two distinct prime atoms are
+coprime without one. A quotient of two expressions on the same
+atoms with the same exponents is num_a / num_b, so only the numerators
+meet in a gcd.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .gaussian import GaussianRational, gr
-from .poly import ExactDivisionError, MultiPoly, VarSpace, may_divide, poly_gcd
+from .poly import ExactDivisionError, MultiPoly, VarSpace, is_linear_prime, may_divide, poly_gcd
 
 Atoms = tuple[tuple[MultiPoly, int], ...]
 
@@ -37,6 +44,13 @@ class PoleError(ArithmeticError):
 
 
 # -- the coprime basis ----------------------------------------------------------
+
+
+def _atom_gcd(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """gcd of two distinct monic atoms; two primes need none."""
+    if is_linear_prime(p) and is_linear_prime(q):
+        return MultiPoly.one(p.space)
+    return poly_gcd(p, q)
 
 
 def _coprime_base(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], list[dict[int, int]]]:
@@ -55,7 +69,7 @@ def _coprime_base(polys: Sequence[MultiPoly]) -> tuple[list[MultiPoly], list[dic
         if p in split or p in basis:
             continue
         for i, q in enumerate(basis):
-            g = poly_gcd(p, q)
+            g = _atom_gcd(p, q)
             if g.is_one():
                 continue
             del basis[i]
@@ -107,7 +121,7 @@ def _on_common_basis(a: Atoms, b: Atoms) -> tuple[list[MultiPoly], list[int], li
     if not extra:
         return basis, ea, eb
     only_a = [p for p, e in zip(basis, eb) if not e]
-    if all(poly_gcd(p, q).is_one() for p in only_a for q, _ in extra):
+    if all(_atom_gcd(p, q).is_one() for p in only_a for q, _ in extra):
         return basis + [q for q, _ in extra], ea + [0] * len(extra), eb + [f for _, f in extra]
     polys = basis + [q for q, _ in extra]
     new_basis, facts = _coprime_base(polys)
@@ -218,8 +232,8 @@ class RationalExpr:
                     e -= 1
                 if not e:
                     continue
-                g = poly_gcd(num, p)
-                if g.is_one():
+                # a prime p that does not divide num is coprime to it
+                if is_linear_prime(p) or (g := poly_gcd(num, p)).is_one():
                     kept.append((p, e))
                     continue
                 # p does not divide num but shares g with it: cancel piece
@@ -313,6 +327,9 @@ class RationalExpr:
         return RationalExpr(num, self.den * other.den, atoms)
 
     def __truediv__(self, other: RationalExpr) -> RationalExpr:
+        # On the same atoms and exponents the denominators cancel.
+        if self.atoms == other.atoms:
+            return RationalExpr.make(self.num, other.num)
         return (self * other.inverse()).reduce()
 
     def inverse(self) -> RationalExpr:

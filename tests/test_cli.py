@@ -25,6 +25,7 @@ from conftest import (
 )
 from crclass.classify import MAX_HULL_DEPTH
 from crclass.errors import InternalAssertion
+from crclass import poly
 from crclass.poly import MAX_DEGREE
 
 REPO = Path(__file__).resolve().parents[1]
@@ -355,6 +356,19 @@ def test_stdout_matches_golden(tmp_path):
         assert sorted(got[name]) == sorted(outputs)
         for command, text in outputs.items():
             assert got[name][command] == text, f"{name}: {command}"
+
+
+def test_tube_image_levi_takes_few_coprimality_scans(tmp_path, capsys, monkeypatch):
+    # Its atoms are prime by the degree-1 test, and k is a quotient on
+    # shared atoms, so most reductions need no gcd (the scan ran 22 times
+    # when every reduction took one).
+    poly.poly_gcd.cache_clear()
+    calls = count_calls(monkeypatch, poly, "_coprimality_scan")
+    path = write_spec(tmp_path, GOLDEN_RATIONAL_MODELS["tube_image"])
+    code, out, _ = run_cli(capsys, "levi", "--input", path, "--json")
+    want = json.loads((REPO / "tests" / "data" / "cli_golden.json").read_text("utf-8"))
+    assert code == 0 and out == want["tube_image"]["levi --json"]
+    assert len(calls) <= 10
 
 
 def test_traced_names_resolve():

@@ -1,16 +1,25 @@
 """Sparse multivariate polynomials over Q(i)."""
 
+import copy
+import pickle
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from crclass.errors import DegreeOverflowError
 from crclass.gaussian import GR_I, GR_ONE, gr
+from crclass.parser import parse_expr
 from crclass.poly import (
+    _P,
+    _R,
     MAX_DEGREE,
     ExactDivisionError,
     MultiPoly,
     VarSpace,
+    _coprimality_scan,
+    is_linear_prime,
     poly_gcd,
 )
 
@@ -270,3 +279,115 @@ def test_gcd_divides_and_sees_common_factor(a, b, c):
         (a * c).divexact(g)
     if not b.is_zero():
         (b * c).divexact(g)
+
+
+# A 26- and a 7-term polynomial whose gcd the pseudo-remainder recursion
+# alone did not return within 300 s. The 7-term one has no z1, so the gcd is
+# that of the 7-term one with the z1-coefficients of the other.
+GCD_PAIR = (
+    "(4 - 2*I)*z1*z2^3*zb1^6*zb2^2*u1^7 + (-5/2 - 5/2*I)*z1^2*z2^4*zb1^4*zb2^2*u1^7"
+    " + (-18 + 6*I)*z1*z2^3*zb1^7*zb2*u1^7"
+    " + (-9/2 - 3/2*I)*z1^2*z2^2*zb1^4*zb2^4*u1^6"
+    " + (-18 + 18*I)*z1*z2*zb1^7*zb2^3*u1^6 + (6 - 18*I)*z1*z2^4*zb1^5*zb2^2*u1^6"
+    " + (-54 - 54*I)*z2^3*zb1^8*zb2*u1^6 + (-27 + 54*I)*z1*z2^4*zb1^6*zb2*u1^6"
+    " + (-6 + 3*I)*z1^2*z2^3*zb1^3*zb2^4*u1^5 + 90*I*z1*z2^2*zb1^6*zb2^3*u1^5"
+    " + (-9 - 18*I)*z1*z2^5*zb1^4*zb2^2*u1^5"
+    " + (15/4 - 15/4*I)*z1^2*z2^6*zb1^2*zb2^2*u1^5 - 252*z2^4*zb1^7*zb2*u1^5"
+    " + (18 + 54*I)*z1*z2^5*zb1^5*zb2*u1^5"
+    " + (-3/4 + 9/4*I)*z1^2*z2^4*zb1^2*zb2^4*u1^4"
+    " + (81 + 81*I)*z1*z2^3*zb1^5*zb2^3*u1^4 + (-6 - 2*I)*z1*z2^6*zb1^3*zb2^2*u1^4"
+    " - 5/2*I*z1^2*z2^7*zb1*zb2^2*u1^4 + (-219 + 219*I)*z2^5*zb1^6*zb2*u1^4"
+    " + (15 + 15/2*I)*z1*z2^6*zb1^4*zb2*u1^4 + 135/2*z1*z2^4*zb1^4*zb2^3*u1^3"
+    " + 180*I*z2^6*zb1^5*zb2*u1^3 + (27/2 - 27/2*I)*z1*z2^5*zb1^3*zb2^3*u1^2"
+    " + (36 + 36*I)*z2^7*zb1^4*zb2*u1^2 - 9/4*I*z1*z2^6*zb1^2*zb2^3*u1"
+    " + 6*z2^8*zb1^3*zb2*u1",
+    "zb1^6*zb2^2*u1^10 + (3 - 3*I)*z2*zb1^5*zb2^2*u1^9"
+    " - 15/2*I*z2^2*zb1^4*zb2^2*u1^8 + (-5 - 5*I)*z2^3*zb1^3*zb2^2*u1^7"
+    " - 15/4*z2^4*zb1^2*zb2^2*u1^6 + (-3/4 + 3/4*I)*z2^5*zb1*zb2^2*u1^5"
+    " + 1/8*I*z2^6*zb2^2*u1^4",
+)
+
+
+def test_gcd_of_exclusive_variable_pair():
+    f, g = (parse_expr(text, 2, 1).num for text in GCD_PAIR)
+    assert (len(f.terms), len(g.terms)) == (26, 7)
+    h = poly_gcd(f, g)
+    # sympy's gcd over QQ_I agrees up to a unit
+    assert h == parse_expr("zb1^2*zb2*u1^3 + (1 - I)*z2*zb1*zb2*u1^2 - 1/2*I*z2^2*zb2*u1", 2, 1).num
+    assert f.divexact(h) * h == f
+    assert g.divexact(h) * h == g
+
+
+@given(
+    polys(max_terms=3, coeffs=rational_coeffs),
+    polys(max_terms=3, coeffs=rational_coeffs),
+    polys(max_terms=3, coeffs=rational_coeffs),
+)
+@settings(max_examples=50, deadline=None)
+def test_coprimality_scan_never_certifies_a_common_factor(h, a, b):
+    assume(not h.is_constant() and not a.is_zero() and not b.is_zero())
+    assert not _coprimality_scan(h * a, h * b)[0]
+
+
+def test_scan_prime_and_a_denominator_it_divides():
+    assert _P % 4 == 1 and _R * _R % _P == _P - 1
+    assert all(_P % d for d in range(2, 32768))  # 32768^2 > _P
+    tiny = MultiPoly.const(SP, gr(Fraction(1, _P)))
+    # the images go through the Gaussian-integer form _P * z1 + z2; its z1
+    # image vanishes, but z2 alone settles the only shared slot
+    assert _coprimality_scan(Z1 + tiny * Z2, Z2 + MultiPoly.one(SP)) == (True, None)
+    h = Z1 + tiny * ZB1
+    f, g = h * (Z2 + U1), h * (Z2 - U1 * U1)
+    assert not _coprimality_scan(f, g)[0]
+    assert poly_gcd(f, g) == h.monic()
+    assert poly_gcd(Z1 * Z2 + tiny, Z1 + Z2).is_one()
+
+
+@st.composite
+def linear_in_a_slot(draw):
+    """a x + b with a, b nonzero and free of the slot x, sometimes times c."""
+    slot = draw(st.integers(min_value=0, max_value=SP.nvars - 1))
+    x = MultiPoly.variable(SP, slot)
+    low = st.tuples(*(st.integers(min_value=0, max_value=1) for _ in range(SP.nvars)))
+    p = MultiPoly.zero(SP)
+    for factor, size in ((x, 2), (MultiPoly.one(SP), 3)):
+        for m, cf in draw(st.lists(st.tuples(low, rational_coeffs), min_size=1, max_size=size)):
+            p = p + MultiPoly.monomial(SP, m[:slot] + (0,) + m[slot + 1:], cf) * factor
+    c = draw(polys(max_terms=2))
+    return p * c if draw(st.booleans()) and not c.is_zero() else p
+
+
+@given(linear_in_a_slot())
+@settings(max_examples=25, deadline=None)
+def test_linear_primes_are_irreducible(p):
+    sympy = pytest.importorskip("sympy")
+    if p.is_constant() or not is_linear_prime(p.monic()):
+        return
+    names = sympy.symbols("z1 z2 zb1 zb2 u1")
+    expr = sum(
+        (sympy.Rational(cf.re) + sympy.I * sympy.Rational(cf.im))
+        * sympy.Mul(*(v**e for v, e in zip(names, m)))
+        for m, cf in p.monomials()
+    )
+    _, factors = sympy.factor_list(expr, *names, gaussian=True)
+    assert [e for _, e in factors] == [1], (str(p), factors)
+
+
+def test_linear_prime_test_examples():
+    one = MultiPoly.one(SP)
+    assert is_linear_prime((Z2 * ZB2 - one).monic())
+    assert is_linear_prime(Z1 * ZB1 + U1 * Z2 + one)
+    assert is_linear_prime(Z1)
+    # a x with a nonconstant, and a x + b with gcd(a, b) = z2 + 1
+    assert not is_linear_prime(Z1 * ZB1)
+    assert not is_linear_prime((Z1 + ZB1) * (Z2 + one))
+    # no slot of degree 1
+    assert not is_linear_prime(Z1 * Z1 + ZB1 * ZB1)
+
+
+def test_copies_and_pickles_keep_the_value():
+    p = (Z2 * ZB2 - MultiPoly.one(SP)).monic()
+    assert is_linear_prime(p)  # records the answer on p; Z1 + ZB1 has none
+    for q in (p, Z1 + ZB1):
+        for twin in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert twin == q and hash(twin) == hash(q)

@@ -231,6 +231,42 @@ def test_deferred_arithmetic_agrees_with_reduce_every_step(x, y):
         assert a.as_constant() == ra.num.as_constant()
 
 
+# Pairwise coprime monic atoms, two of them prime by the degree-1 test.
+SHARED_ATOMS = tuple(
+    pe(text).num.monic() for text in ("z2*zb2 - 1", "z1*zb1 + u1 + I", "z1^2 + zb2^2 + 1")
+)
+
+
+@st.composite
+def on_shared_atoms(draw):
+    """Two unreduced expressions on the same atoms and exponents, with
+    numerators that may hold some of those atoms."""
+    exps = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=3, max_size=3))
+    atoms = tuple((p, e) for p, e in zip(SHARED_ATOMS, exps) if e)
+    den = MultiPoly.one(SP)
+    for p, e in atoms:
+        den = den * p.pow(e)
+    out = []
+    for _ in range(2):
+        num = draw(polys())
+        for p in SHARED_ATOMS:
+            num = num * p.pow(draw(st.integers(min_value=0, max_value=1)))
+        out.append(RationalExpr(num, den, atoms))
+    return out
+
+
+@given(on_shared_atoms())
+@settings(max_examples=40, deadline=None)
+def test_quotient_on_shared_atoms_matches_reference(pair):
+    a, b = pair
+    if b.is_zero():
+        return
+    got = a / b
+    want = RationalExpr.make(a.num * b.den, a.den * b.num)
+    assert (got.num, got.den) == (want.num, want.den)
+    _invariant(got)
+
+
 def test_shared_factors_refine_the_basis():
     # (z1 + zb1)^2 and (z1 + zb1)*(z2 + 1) share a factor: on meeting, the
     # basis splits into z1 + zb1 and z2 + 1
