@@ -229,7 +229,8 @@ class MultiPoly:
 
     space: VarSpace
     terms: tuple[tuple[int, GaussianRational], ...]
-    # set by is_linear_prime; unset until then, so construction pays nothing
+    # set by is_linear_prime; unset until then, as a default would cost
+    # every construction a store
     _prime: bool = field(init=False, repr=False, compare=False)
 
     def __reduce__(self) -> tuple:
@@ -619,18 +620,19 @@ def is_linear_prime(p: MultiPoly) -> bool:
 # -- coprimality certificate via univariate images mod a prime ----------------
 #
 # i -> _R maps Z[i] onto GF(_P), as _R^2 = -1 (mod _P) for the prime
-# _P = 1 (mod 4); (a + b i)/d maps to (a + b _R)/d, or, if _P divides d,
-# the polynomial is imaged through its Gaussian-integer form. Then every
-# slot but s is set to a fixed point. If F = H A and G = H B over Z[i], H
-# the primitive gcd of the Gaussian-integer forms, H's image divides both
-# images, and keeps its s-degree whenever F's leading s-coefficient
-# survives (leading coefficients multiply): deg_s H <= deg gcd(images).
-# A zero bound for every shared slot proves the gcd constant and skips the
-# pseudo-remainder recursion; an image that loses F's leading coefficient
-# is skipped, and a slot no point settles falls back to the recursion.
-# Each term is evaluated once per point, t = c prod_s v_s^e_s; grouped by
-# e_s, these are the coefficients of the image in slot s with x_s scaled
-# by v_s, which changes neither its degree nor its gcd's.
+# _P = 1 (mod 4). The images are of the Gaussian-integer forms F and G of
+# f and g (times their lcm denominators, which changes neither gcd), so no
+# denominator needs an inverse mod _P. Then every slot but s is set to a
+# fixed point. If F = H A and G = H B with H the primitive gcd over Z[i],
+# H's image divides both images, and keeps its s-degree whenever F's
+# leading s-coefficient survives (leading coefficients multiply):
+# deg_s H <= deg gcd(images). A zero bound for every shared slot proves
+# the gcd constant and skips the pseudo-remainder recursion; an image that
+# loses F's leading coefficient is skipped, and a slot no point settles
+# falls back to the recursion. Each term is evaluated once per point,
+# t = c prod_s v_s^e_s; grouped by e_s, these are the coefficients of the
+# image in slot s with x_s scaled by v_s, which changes neither its degree
+# nor its gcd's.
 
 _P = 1073741789
 _R = 140687844
@@ -638,17 +640,8 @@ _POINTS = tuple(tuple(pow(3, 1 + s + 64 * a, _P) for s in range(64)) for a in ra
 
 
 def _residues(terms: tuple[tuple[int, GaussianRational], ...]) -> list[tuple[int, int]]:
-    """Each term's key and its coefficient's image in GF(_P)."""
-    inverse = {1: 1}
-    out = []
-    for k, (a, b, d) in terms:
-        m = inverse.get(d)
-        if m is None:
-            if not d % _P:
-                return [(k, (x + y * _R) % _P) for k, (x, y) in _int_form(terms)[1].items()]
-            m = inverse[d] = pow(d, -1, _P)
-        out.append((k, (a + b * _R) * m % _P))
-    return out
+    """Each term's key and its Gaussian-integer coefficient's image in GF(_P)."""
+    return [(k, (x + y * _R) % _P) for k, (x, y) in _int_form(terms)[1].items()]
 
 
 def _slot_images(
@@ -692,17 +685,15 @@ def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
 
 
 def _coprimality_scan(
-    f: MultiPoly, g: MultiPoly, df: list[int] | None = None, dg: list[int] | None = None
+    f: MultiPoly, g: MultiPoly, df: list[int], dg: list[int]
 ) -> tuple[bool, int | None]:
     """Certify gcd(f, g) constant, or suggest a pseudo-remainder pivot.
 
-    df and dg are the largest exponents of each slot in f and g, computed
-    when not given. Returns (True, None) when every shared slot provably
-    contributes degree zero to the gcd; otherwise (False, slot) pointing at
-    the slot whose remainder chain looks shortest.
+    df and dg are the largest exponents of each slot in f and g. Returns
+    (True, None) when every shared slot provably contributes degree zero to
+    the gcd; otherwise (False, slot) pointing at the slot whose remainder
+    chain looks shortest.
     """
-    df = df or _exponent_range(f)[1]
-    dg = dg or _exponent_range(g)[1]
     bound = {s: min(a, b) for s, (a, b) in enumerate(zip(df, dg)) if a and b}
     if not bound:
         return True, None

@@ -19,6 +19,7 @@ from crclass.poly import (
     MultiPoly,
     VarSpace,
     _coprimality_scan,
+    _exponent_range,
     is_linear_prime,
     poly_gcd,
 )
@@ -318,6 +319,10 @@ def test_gcd_of_exclusive_variable_pair():
     assert g.divexact(h) * h == g
 
 
+def _scan(f, g):
+    return _coprimality_scan(f, g, _exponent_range(f)[1], _exponent_range(g)[1])
+
+
 @given(
     polys(max_terms=3, coeffs=rational_coeffs),
     polys(max_terms=3, coeffs=rational_coeffs),
@@ -326,19 +331,19 @@ def test_gcd_of_exclusive_variable_pair():
 @settings(max_examples=50, deadline=None)
 def test_coprimality_scan_never_certifies_a_common_factor(h, a, b):
     assume(not h.is_constant() and not a.is_zero() and not b.is_zero())
-    assert not _coprimality_scan(h * a, h * b)[0]
+    assert not _scan(h * a, h * b)[0]
 
 
 def test_scan_prime_and_a_denominator_it_divides():
     assert _P % 4 == 1 and _R * _R % _P == _P - 1
     assert all(_P % d for d in range(2, 32768))  # 32768^2 > _P
     tiny = MultiPoly.const(SP, gr(Fraction(1, _P)))
-    # the images go through the Gaussian-integer form _P * z1 + z2; its z1
-    # image vanishes, but z2 alone settles the only shared slot
-    assert _coprimality_scan(Z1 + tiny * Z2, Z2 + MultiPoly.one(SP)) == (True, None)
+    # the Gaussian-integer form of z1 + z2/_P is _P * z1 + z2; its z1 image
+    # vanishes, but z2 alone settles the only shared slot
+    assert _scan(Z1 + tiny * Z2, Z2 + MultiPoly.one(SP)) == (True, None)
     h = Z1 + tiny * ZB1
     f, g = h * (Z2 + U1), h * (Z2 - U1 * U1)
-    assert not _coprimality_scan(f, g)[0]
+    assert not _scan(f, g)[0]
     assert poly_gcd(f, g) == h.monic()
     assert poly_gcd(Z1 * Z2 + tiny, Z1 + Z2).is_one()
 
