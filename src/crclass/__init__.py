@@ -68,7 +68,7 @@ from .manifold import (
     validate_manifold,
 )
 from .parser import ParseError, expr_to_text, parse_constant, parse_expr
-from .poly import MultiPoly, VarId, VarSpace
+from .poly import MultiPoly, VarSpace
 from .ratfunc import PoleError, RationalExpr
 
 __version__ = "0.1.0"
@@ -98,7 +98,6 @@ __all__ = [
     "RealityError",
     "ValidatedManifold",
     "ValidationError",
-    "VarId",
     "VarSpace",
     "VectorField",
     "VERDICT_TEXT",

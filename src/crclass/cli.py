@@ -2,8 +2,15 @@
 
     crclass <command> --input <file> [--json] [--depth N] [--point <file>]
 
-Commands: classify, frame, levi, brackets, hull. Exit status: 0 success,
-1 input/validation problem, 2 violated internal invariant.
+Commands: classify, frame, levi, brackets, hull. Each command builds one
+document, the dict that --json prints. The text form renders that same
+document line by line, after one `note:` line per validation warning, so
+the two forms cannot disagree. This module owns the output format: the
+engine returns typed values, and the helpers below turn them into
+document entries. `manifold.load_manifold` reads the input files.
+
+Exit status: 0 success, 1 input/validation problem, 2 violated internal
+invariant. Status 1 and 2 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -11,38 +18,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 
-from .classify import (
-    MAX_HULL_DEPTH,
-    VERDICT_TEXT,
-    ClassificationReport,
-    classify,
-    lie_hull_rank,
-)
+from .classify import MAX_HULL_DEPTH, VERDICT_TEXT, classify, lie_hull_rank
 from .errors import InternalAssertion, ValidationError
 from .frames import cramer_frame, named_brackets, rho0
-from .levi import levi_data
-from .linalg import det_expr
-from .manifold import (
-    ManifoldSpec,
-    ValidatedManifold,
-    _parse_point,
-    load_manifold,
-    validate_manifold,
-)
+from .gaussian import gr
+from .levi import KernelData, levi_data
+from .linalg import RankCertificate, det_expr
+from .manifold import ValidatedManifold, load_manifold, validate_manifold
 from .parser import ParseError, expr_to_text
 from .ratfunc import PoleError
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    command: str
-    input_path: str
-    json_output: bool
-    depth: int
-    point_path: str | None
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -86,47 +72,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(config: RunConfig) -> ValidatedManifold:
-    spec = load_manifold(config.input_path)
-    if config.point_path is not None:
-        with open(config.point_path, "r", encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(
-                    f"invalid JSON in {config.point_path}: {exc}"
-                ) from exc
-        point = _parse_point(data, spec.n, spec.c)
-        spec = ManifoldSpec(n=spec.n, c=spec.c, phi=spec.phi, point=point)
-    return validate_manifold(spec)
+# -- document entries for engine values -----------------------------------------
 
 
-def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _input_doc(vm: ValidatedManifold) -> dict:
+    return {
+        "n": vm.n,
+        "c": vm.c,
+        "phi": [expr_to_text(p) for p in vm.phi],
+        "point": {
+            "z": [str(v) for v in vm.point.z],
+            "u": [str(gr(v)) for v in vm.point.u],
+        },
+    }
 
 
-def _print_warnings(vm: ValidatedManifold) -> None:
-    for w in vm.warnings:
-        print(f"note: {w}")
+def _certificate_doc(cert: RankCertificate) -> dict:
+    return {
+        "rank": cert.rank,
+        "rows": list(cert.rows),
+        "cols": list(cert.cols),
+        "minor": str(cert.minor) if cert.minor is not None else None,
+    }
 
 
-def _classify_doc(vm: ValidatedManifold, report: ClassificationReport) -> dict:
-    witnesses: list[dict] = []
-    for name, cert in report.witnesses.items():
-        entry = {"name": name}
-        entry.update(cert.to_dict())
-        witnesses.append(entry)
-    if report.observational_d is not None:
+def _kernel_doc(kernel: KernelData) -> dict:
+    at = kernel.freeman_at_point
+    return {
+        "k": expr_to_text(kernel.k),
+        "K": kernel.K.render(),
+        "kappa0": kernel.kappa0.render(),
+        "frame_adjust": [[str(v) for v in row] for row in kernel.frame_adjust],
+        "freeman": expr_to_text(kernel.freeman),
+        "freeman_identically_zero": kernel.freeman.is_zero(),
+        "freeman_at_point": str(at) if at is not None else None,
+    }
+
+
+def _kernel_text(kernel: dict):
+    at = kernel["freeman_at_point"]
+    yield "kernel data:"
+    yield f"  k = {kernel['k']}"
+    yield f"  K = {kernel['K']}"
+    yield f"  kappa0 = {kernel['kappa0']}"
+    yield f"  frame_adjust = {kernel['frame_adjust']}"
+    yield f"  freeman = {kernel['freeman']}"
+    yield f"  freeman at base point = {at if at is not None else 'pole'}"
+
+
+# -- one document per command, and its text form --------------------------------
+
+
+def _classify_doc(vm: ValidatedManifold, args: argparse.Namespace) -> dict:
+    report = classify(vm)
+    witnesses = [
+        {"name": name, **_certificate_doc(cert)}
+        for name, cert in report.witnesses.items()
+    ]
+    d = report.observational_d
+    if d is not None:
         witnesses.append({
             "name": "observational_d",
-            "expression": expr_to_text(report.observational_d),
-            "product_with_conj": expr_to_text(
-                report.observational_d * report.observational_d.conj()
-            ),
+            "expression": expr_to_text(d),
+            "product_with_conj": expr_to_text(d * d.conj()),
         })
     witnesses.append({"name": "certificate", "text": report.certificate})
     doc = {
-        "input": vm.input_dict(),
+        "input": _input_doc(vm),
         "verdict": report.verdict,
         "ranks": {
             "generic": dict(report.generic_ranks),
@@ -135,181 +147,159 @@ def _classify_doc(vm: ValidatedManifold, report: ClassificationReport) -> dict:
         "witnesses": witnesses,
     }
     if report.kernel is not None:
-        doc["kernel"] = report.kernel.to_dict()
+        doc["kernel"] = _kernel_doc(report.kernel)
     doc["sigma_flag"] = report.sigma_flag
     return doc
 
 
-def _run_classify(vm: ValidatedManifold, config: RunConfig) -> None:
-    report = classify(vm)
-    if config.json_output:
-        _emit(_classify_doc(vm, report))
-        return
-    _print_warnings(vm)
-    print(f"verdict: {VERDICT_TEXT[report.verdict]} [{report.verdict}]")
-    print(f"certificate: {report.certificate}")
-    print("generic ranks:")
-    for name, rank in report.generic_ranks.items():
-        at = report.point_ranks[name]
-        print(f"  {name}: generic {rank}, at base point {at}")
-    depth_names = {
-        "L,Lb,T,[L,T],[Lb,T]": "r4",
-        "L,Lb,T,[L,T],[Lb,T],[L,[L,T]]": "r5",
-    }
-    for name, label in depth_names.items():
-        if name in report.generic_ranks:
-            print(f"{label} = {report.generic_ranks[name]} (rank of {{{name}}})")
-    for name, cert in report.witnesses.items():
-        if cert.minor is not None:
-            print(
-                f"witness[{name}]: rows {list(cert.rows)} cols {list(cert.cols)} "
-                f"minor {cert.minor}"
-            )
-    if report.observational_d is not None:
-        print(f"observational d = {expr_to_text(report.observational_d)} "
-              f"(d*conj(d) = 1)")
-    if report.kernel is not None:
-        _print_kernel(report.kernel)
-    if report.sigma_flag:
-        print("sigma_flag: true (base point is in the rank-drop locus)")
+_DEPTH_LABELS = {
+    "L,Lb,T,[L,T],[Lb,T]": "r4",
+    "L,Lb,T,[L,T],[Lb,T],[L,[L,T]]": "r5",
+}
+
+
+def _classify_text(doc: dict):
+    generic, at_point = doc["ranks"]["generic"], doc["ranks"]["at_point"]
+    yield f"verdict: {VERDICT_TEXT[doc['verdict']]} [{doc['verdict']}]"
+    yield f"certificate: {doc['witnesses'][-1]['text']}"
+    yield "generic ranks:"
+    for name, rank in generic.items():
+        yield f"  {name}: generic {rank}, at base point {at_point[name]}"
+    for name, label in _DEPTH_LABELS.items():
+        if name in generic:
+            yield f"{label} = {generic[name]} (rank of {{{name}}})"
+    for w in doc["witnesses"]:
+        if w.get("minor") is not None:
+            yield f"witness[{w['name']}]: rows {w['rows']} cols {w['cols']} minor {w['minor']}"
+        elif w["name"] == "observational_d":
+            yield (f"observational d = {w['expression']} "
+                   f"(d*conj(d) = {w['product_with_conj']})")
+    if "kernel" in doc:
+        yield from _kernel_text(doc["kernel"])
+    if doc["sigma_flag"]:
+        yield "sigma_flag: true (base point is in the rank-drop locus)"
     else:
-        print("sigma_flag: false")
+        yield "sigma_flag: false"
 
 
-def _print_kernel(kernel) -> None:
-    print("kernel data:")
-    print(f"  k = {expr_to_text(kernel.k)}")
-    print(f"  K = {kernel.K.render()}")
-    print(f"  kappa0 = {kernel.kappa0.render()}")
-    adj = [[str(v) for v in row] for row in kernel.frame_adjust]
-    print(f"  frame_adjust = {adj}")
-    print(f"  freeman = {expr_to_text(kernel.freeman)}")
-    at = kernel.freeman_at_point
-    print(f"  freeman at base point = {at if at is not None else 'pole'}")
-
-
-def _run_frame(vm: ValidatedManifold, config: RunConfig) -> None:
+def _frame_doc(vm: ValidatedManifold, args: argparse.Namespace) -> dict:
     frame = cramer_frame(vm)
     forms = rho0(frame)
-    if config.json_output:
-        _emit({
-            "input": vm.input_dict(),
-            "A": [[expr_to_text(a) for a in row] for row in frame.A],
-            "L": [f.render() for f in frame.L],
-            "Lbar": [f.render() for f in frame.Lbar],
-            "rho0": [f.render() for f in forms],
-        })
-        return
-    _print_warnings(vm)
-    for i, row in enumerate(frame.A):
-        for l, a in enumerate(row):
-            print(f"A_{i + 1}^{l + 1} = {expr_to_text(a)}")
-    for i, f in enumerate(frame.L):
-        print(f"L{i + 1} = {f.render()}")
-    for i, f in enumerate(frame.Lbar):
-        print(f"Lb{i + 1} = {f.render()}")
-    for j, f in enumerate(forms):
-        print(f"rho0_{j + 1} = {f.render()}")
+    return {
+        "input": _input_doc(vm),
+        "A": [[expr_to_text(a) for a in row] for row in frame.A],
+        "L": [f.render() for f in frame.L],
+        "Lbar": [f.render() for f in frame.Lbar],
+        "rho0": [f.render() for f in forms],
+    }
 
 
-def _run_levi(vm: ValidatedManifold, config: RunConfig) -> None:
+def _frame_text(doc: dict):
+    for i, row in enumerate(doc["A"], 1):
+        for l, a in enumerate(row, 1):
+            yield f"A_{i}^{l} = {a}"
+    for label, key in (("L", "L"), ("Lb", "Lbar"), ("rho0_", "rho0")):
+        for i, text in enumerate(doc[key], 1):
+            yield f"{label}{i} = {text}"
+
+
+def _levi_doc(vm: ValidatedManifold, args: argparse.Namespace) -> dict:
     frame = cramer_frame(vm)
     levi = levi_data(vm, frame, frame.L)
     det = det_expr(levi.rows)
-    if config.json_output:
-        doc = {
-            "input": vm.input_dict(),
-            "matrix": [[expr_to_text(e) for e in r] for r in levi.rows],
-            "determinant": expr_to_text(det),
-            "generic_rank": levi.certificate.rank,
-            "rank_at_point": levi.point_rank,
-        }
-        if levi.kernel is not None:
-            doc["kernel"] = levi.kernel.to_dict()
-        _emit(doc)
-        return
-    _print_warnings(vm)
-    print("Levi matrix, entry(r,c) = rho0(i[L_c, Lb_r]):")
-    for r in levi.rows:
-        print("  [" + ", ".join(expr_to_text(e) for e in r) + "]")
-    print(f"determinant: {expr_to_text(det)}")
-    print(
-        f"generic rank: {levi.certificate.rank}, rank at base point: {levi.point_rank}"
-    )
-    if levi.kernel is not None:
-        _print_kernel(levi.kernel)
-
-
-def _run_brackets(vm: ValidatedManifold, config: RunConfig) -> None:
-    frame = cramer_frame(vm)
-    fields = {
-        name: f.render() for name, f in named_brackets(frame.L, vm.c)
+    doc = {
+        "input": _input_doc(vm),
+        "matrix": [[expr_to_text(e) for e in r] for r in levi.rows],
+        "determinant": expr_to_text(det),
+        "generic_rank": levi.certificate.rank,
+        "rank_at_point": levi.point_rank,
     }
-    if config.json_output:
-        _emit({"input": vm.input_dict(), "fields": fields})
-        return
-    _print_warnings(vm)
-    for name, text in fields.items():
-        print(f"{name} = {text}")
+    if levi.kernel is not None:
+        doc["kernel"] = _kernel_doc(levi.kernel)
+    return doc
 
 
-def _run_hull(vm: ValidatedManifold, config: RunConfig) -> None:
-    result = lie_hull_rank(vm, config.depth)
-    if config.json_output:
-        _emit({
-            "input": vm.input_dict(),
-            "depth": config.depth,
-            "ranks_by_depth": list(result.ranks_by_depth),
-            "rank": result.rank,
-            "stabilized_at": result.stabilized_at,
-        })
-        return
-    _print_warnings(vm)
-    for depth, rank in enumerate(result.ranks_by_depth, start=1):
-        print(f"depth {depth}: rank {rank}")
-    if result.stabilized_at is not None:
-        print(f"stabilized at depth {result.stabilized_at} with rank {result.rank}")
+def _levi_text(doc: dict):
+    yield "Levi matrix, entry(r,c) = rho0(i[L_c, Lb_r]):"
+    for row in doc["matrix"]:
+        yield "  [" + ", ".join(row) + "]"
+    yield f"determinant: {doc['determinant']}"
+    yield f"generic rank: {doc['generic_rank']}, rank at base point: {doc['rank_at_point']}"
+    if "kernel" in doc:
+        yield from _kernel_text(doc["kernel"])
+
+
+def _brackets_doc(vm: ValidatedManifold, args: argparse.Namespace) -> dict:
+    fields = named_brackets(cramer_frame(vm).L, vm.c)
+    return {"input": _input_doc(vm), "fields": {name: f.render() for name, f in fields}}
+
+
+def _brackets_text(doc: dict):
+    for name, text in doc["fields"].items():
+        yield f"{name} = {text}"
+
+
+def _hull_doc(vm: ValidatedManifold, args: argparse.Namespace) -> dict:
+    result = lie_hull_rank(vm, args.depth)
+    return {
+        "input": _input_doc(vm),
+        "depth": args.depth,
+        "ranks_by_depth": list(result.ranks_by_depth),
+        "rank": result.rank,
+        "stabilized_at": result.stabilized_at,
+    }
+
+
+def _hull_text(doc: dict):
+    for depth, rank in enumerate(doc["ranks_by_depth"], 1):
+        yield f"depth {depth}: rank {rank}"
+    if doc["stabilized_at"] is not None:
+        yield f"stabilized at depth {doc['stabilized_at']} with rank {doc['rank']}"
     else:
-        print(f"not stabilized within depth {config.depth}; rank so far {result.rank}")
+        yield f"not stabilized within depth {doc['depth']}; rank so far {doc['rank']}"
 
 
-def run(config: RunConfig) -> int:
+_COMMANDS = {
+    "classify": (_classify_doc, _classify_text),
+    "frame": (_frame_doc, _frame_text),
+    "levi": (_levi_doc, _levi_text),
+    "brackets": (_brackets_doc, _brackets_text),
+    "hull": (_hull_doc, _hull_text),
+}
+
+
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line; returns the exit status."""
     try:
-        if config.depth < 1:
-            raise ValidationError("--depth must be at least 1")
-        if config.depth > MAX_HULL_DEPTH:
-            raise ValidationError(f"--depth must be at most {MAX_HULL_DEPTH}")
-        vm = _load(config)
-        dispatch = {
-            "classify": _run_classify,
-            "frame": _run_frame,
-            "levi": _run_levi,
-            "brackets": _run_brackets,
-            "hull": _run_hull,
-        }
-        dispatch[config.command](vm, config)
+        if args.command == "hull":
+            if args.depth < 1:
+                raise ValidationError("--depth must be at least 1")
+            if args.depth > MAX_HULL_DEPTH:
+                raise ValidationError(f"--depth must be at most {MAX_HULL_DEPTH}")
+        vm = validate_manifold(load_manifold(args.input, args.point))
+        build, render = _COMMANDS[args.command]
+        doc = build(vm, args)
+        if args.json:
+            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            print(*(f"note: {w}" for w in vm.warnings), *render(doc), sep="\n")
         return 0
     except (ValidationError, ParseError, PoleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"error: {exc}")
     except OSError as exc:
-        print(f"error: cannot read input: {exc}", file=sys.stderr)
-        return 1
+        return _fail(1, f"error: cannot read input: {exc}")
     except (InternalAssertion, AssertionError) as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"internal invariant violated: {exc}")
+
+
+def _fail(status: int, message: str) -> int:
+    # one stderr line, even when a file name holds a line break
+    print("\\n".join(message.splitlines()), file=sys.stderr)
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input,
-        json_output=args.json,
-        depth=getattr(args, "depth", 4),
-        point_path=args.point,
-    )
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -132,10 +132,25 @@ def _ratio_text(p: int, d: int) -> str:
     """p/d in lowest terms, as str(Fraction(p, d)) writes it; d > 0."""
     if d != 1:
         g = gcd(p, d)
-        if g != d:
-            return f"{p // g}/{d // g}"
-        return str(p // d)
-    return str(p)
+        p, d = p // g, d // g
+    try:
+        return str(p) if d == 1 else f"{p}/{d}"
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return _long_int_text(p) if d == 1 else f"{_long_int_text(p)}/{_long_int_text(d)}"
+
+
+# sys.set_int_max_str_digits accepts no limit below 640 digits
+_CHUNK_DIGITS = 640
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def _long_int_text(k: int) -> str:
+    """str(k) for an int of any length, converted 640 digits at a time."""
+    q, chunks = abs(k), []
+    while q:
+        q, r = divmod(q, _CHUNK)
+        chunks.append(str(r).zfill(_CHUNK_DIGITS))
+    return "-" * (k < 0) + ("".join(reversed(chunks)).lstrip("0") or "0")
 
 
 def reduced(a: int, b: int, d: int) -> GaussianRational:

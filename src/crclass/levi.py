@@ -218,23 +218,6 @@ class KernelData:
         u = space.u_slot(0)
         return self.fields[0].coeffs[u], self.fields[1].coeffs[u]
 
-    def to_dict(self) -> dict:
-        from .parser import expr_to_text
-
-        return {
-            "k": expr_to_text(self.k),
-            "K": self.K.render(),
-            "kappa0": self.kappa0.render(),
-            "frame_adjust": [[str(v) for v in row] for row in self.frame_adjust],
-            "freeman": expr_to_text(self.freeman),
-            "freeman_identically_zero": self.freeman.is_zero(),
-            "freeman_at_point": (
-                str(self.freeman_at_point)
-                if self.freeman_at_point is not None
-                else None
-            ),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class LeviData:

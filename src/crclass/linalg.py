@@ -120,14 +120,6 @@ class RankCertificate:
     cols: tuple[int, ...]
     minor: MultiPoly | None
 
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "rows": list(self.rows),
-            "cols": list(self.cols),
-            "minor": str(self.minor) if self.minor is not None else None,
-        }
-
 
 def _extend(
     matrix: Sequence[Sequence[MultiPoly]], rows: Sequence[int], cols: Sequence[int], cache: dict

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .gaussian import GR_I, GaussianRational, gr
 from .linalg import det_expr
-from .parser import expr_to_text, parse_constant, parse_expr
+from .parser import parse_constant, parse_expr
 from .poly import VarSpace
 from .ratfunc import PoleError, RationalExpr
 
@@ -85,17 +85,6 @@ class ValidatedManifold:
     def point_coords(self) -> tuple[GaussianRational, ...]:
         return self.point.coords(self.space)
 
-    def input_dict(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "phi": [expr_to_text(p) for p in self.phi],
-            "point": {
-                "z": [str(v) for v in self.point.z],
-                "u": [str(gr(v)) for v in self.point.u],
-            },
-        }
-
 
 def _parse_point(data: Any, n: int, c: int) -> PointAssignment:
     if not isinstance(data, dict):
@@ -130,7 +119,7 @@ def manifold_from_dict(data: Any) -> ManifoldSpec:
         raise ValidationError("manifold description must be a JSON object")
     n = data.get("n")
     c = data.get("c")
-    if not isinstance(n, int) or not isinstance(c, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, c)):
         raise DimensionError("'n' and 'c' must be integers")
     if (n, c) not in ALLOWED_TYPES:
         raise DimensionError(
@@ -150,13 +139,24 @@ def manifold_from_dict(data: Any) -> ManifoldSpec:
     return ManifoldSpec(n=n, c=c, phi=phi, point=point)
 
 
-def load_manifold(path: str) -> ManifoldSpec:
+def _read_json(path: str) -> Any:
+    """The JSON value in a UTF-8 file. A file that does not decode, nests
+    past the interpreter's recursion limit or holds an integer past its
+    digit limit raises ValidationError; OSError passes through."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-    return manifold_from_dict(data)
+
+
+def load_manifold(path: str, point_path: str | None = None) -> ManifoldSpec:
+    """Read a manifold file; a point file, if given, replaces its base point."""
+    spec = manifold_from_dict(_read_json(path))
+    if point_path is None:
+        return spec
+    point = _parse_point(_read_json(point_path), spec.n, spec.c)
+    return ManifoldSpec(n=spec.n, c=spec.c, phi=spec.phi, point=point)
 
 
 def cramer_system(spec: ManifoldSpec) -> tuple[tuple[RationalExpr, ...], ...]:

@@ -42,7 +42,9 @@ class ParseError(ValueError):
 
 
 _TOKEN = _re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
-_IDENT = _re.compile(r"^(zb|z|u)([1-9][0-9]*)$")
+# one digit: every longer index is out of range for 2n + c <= 5, and int()
+# never sees a long digit string
+_IDENT = _re.compile(r"^(zb|z|u)([1-9])$")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -68,6 +70,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 Value = MultiPoly | RationalExpr
+
+
+def _literal(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 def _lift(v: Value) -> RationalExpr:
@@ -161,7 +170,7 @@ class _Parser:
             if kind != "num":
                 raise ParseError("exponent must be a nonnegative integer", pos)
             self.advance()
-            exponent = int(value)
+            exponent = _literal(value, pos)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
             e = e.pow(exponent)
@@ -169,7 +178,7 @@ class _Parser:
     def atom(self) -> Value:
         kind, value, pos = self.advance()
         if kind == "num":
-            return MultiPoly.const(self.space, gr(int(value)))
+            return MultiPoly.const(self.space, gr(_literal(value, pos)))
         if kind == "ident":
             if value == "I":
                 return MultiPoly.const(self.space, GR_I)

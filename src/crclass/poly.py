@@ -35,14 +35,12 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from math import gcd, lcm
 from operator import le
-from typing import Iterable, Literal
+from typing import Iterable
 
 from .errors import DegreeOverflowError
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, reduced
 
 Monomial = tuple[int, ...]
-
-VarKind = Literal["z", "zb", "u"]
 
 FIELD_BITS = 16
 MAX_DEGREE = (1 << FIELD_BITS) - 1
@@ -50,23 +48,6 @@ MAX_DEGREE = (1 << FIELD_BITS) - 1
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
-
-
-@dataclass(frozen=True, slots=True)
-class VarId:
-    """A named variable: kind in {z, zb, u}, 1-based index."""
-
-    kind: VarKind
-    index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("z", "zb", "u"):
-            raise ValueError(f"unknown variable kind {self.kind!r}")
-        if self.index < 1:
-            raise ValueError("variable index is 1-based")
-
-    def __str__(self) -> str:
-        return f"{self.kind}{self.index}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,19 +71,6 @@ class VarSpace:
         object.__setattr__(self, "_key_cap", (MAX_DEGREE + 1) << (FIELD_BITS * nvars))
         object.__setattr__(self, "_zero", MultiPoly(self, ()))
         object.__setattr__(self, "_one", MultiPoly(self, ((0, GR_ONE),)))
-
-    def slot(self, v: VarId) -> int:
-        if v.kind == "z":
-            if v.index > self.n:
-                raise ValueError(f"variable {v} out of range for n={self.n}")
-            return v.index - 1
-        if v.kind == "zb":
-            if v.index > self.n:
-                raise ValueError(f"variable {v} out of range for n={self.n}")
-            return self.n + v.index - 1
-        if v.index > self.c:
-            raise ValueError(f"variable {v} out of range for c={self.c}")
-        return 2 * self.n + v.index - 1
 
     def z_slot(self, i: int) -> int:
         """Slot of z_{i+1}; i is 0-based."""

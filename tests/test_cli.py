@@ -321,6 +321,63 @@ def test_moderate_nesting_parses(tmp_path, capsys):
     assert doc_nested["input"]["phi"] == doc_plain["input"]["phi"]
 
 
+HOSTILE_FILES = {
+    "nested": b"[" * 100_000,
+    "not_utf8": b"\xff\xfe",
+    "long_number": b'{"n": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_FILES))
+@pytest.mark.parametrize("role", ["--input", "--point"])
+def test_hostile_json_file_exits_one(tmp_path, capsys, name, role):
+    hostile = tmp_path / f"{name}.json"
+    hostile.write_bytes(HOSTILE_FILES[name])
+    good = write_spec(tmp_path, HEISENBERG)
+    argv = ["--input", str(hostile)] if role == "--input" else ["--input", good, "--point", str(hostile)]
+    code, out, err = run_cli(capsys, "classify", *argv, "--json")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: invalid JSON in {hostile}: ")
+    assert err.count("\n") == 1
+
+
+def test_error_is_one_line_for_a_file_name_with_a_line_break(tmp_path, capsys):
+    path = tmp_path / "bad\nname.json"
+    path.write_text("{")
+    code, out, err = run_cli(capsys, "classify", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: invalid JSON in {tmp_path}/bad\\nname.json: ")
+    assert err.count("\n") == 1
+
+
+def test_long_integer_literal_exits_one(tmp_path, capsys):
+    digits = "1" * 5000
+    path = write_spec(tmp_path, (1, 1, [f"z1*zb1 + {digits}"]))
+    code, out, err = run_cli(capsys, "classify", "--input", path)
+    assert code == 1 and out == ""
+    assert err == "error: integer literal of 5000 digits is too long (offset 9)\n"
+
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"z": [digits], "u": ["0"]}))
+    path = write_spec(tmp_path, HEISENBERG, name="h.json")
+    code, out, err = run_cli(capsys, "classify", "--input", path, "--point", str(point))
+    assert code == 1 and out == ""
+    assert err == "error: integer literal of 5000 digits is too long (offset 0)\n"
+
+
+def test_long_coefficient_prints_exactly(tmp_path, capsys):
+    # 10^4500 has more digits than str() converts by default
+    path = write_spec(tmp_path, (1, 1, ["1000000000^500*z1*zb1"]))
+    code, out, err = run_cli(capsys, "classify", "--input", path, "--json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["input"]["phi"] == ["1" + "0" * 4500 + "*z1*zb1"]
+    assert doc["witnesses"][0]["minor"] == "2" + "0" * 4500
+    code, out, err = run_cli(capsys, "classify", "--input", path)
+    assert code == 0 and err == ""
+    assert f"minor 2{'0' * 4500}\n" in out
+
+
 def golden_outputs(directory):
     """Stdout of every golden model under every golden command."""
     out = {}

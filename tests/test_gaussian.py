@@ -59,6 +59,15 @@ def test_str_forms():
     assert str(gr(Fraction(-1, 2))) == "-1/2"
 
 
+def test_str_of_parts_past_the_int_string_limit():
+    # 5123 digits, more than str(int) converts by default
+    k = int("7" * 4000) * 10**1123 + 123
+    text = "7" * 4000 + "0" * 1120 + "123"
+    assert str(gr(k)) == text
+    assert str(gr(Fraction(-k, 3))) == f"-{text}/3"
+    assert str(gr(1, Fraction(1, k))) == f"1 + 1/{text}*I"
+
+
 @given(scalars, scalars)
 def test_mul_commutes_and_conj_is_multiplicative(a, b):
     assert a * b == b * a

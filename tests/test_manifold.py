@@ -128,6 +128,23 @@ def test_origin_helper():
     assert all(v.is_zero() for v in p.z)
 
 
+def test_boolean_dimensions_are_rejected():
+    with pytest.raises(DimensionError, match="must be integers"):
+        manifold_from_dict({"n": True, "c": True, "phi": ["z1*zb1"]})
+    with pytest.raises(DimensionError, match="must be integers"):
+        manifold_from_dict({"n": 1, "c": False, "phi": ["z1*zb1"]})
+
+
+def test_load_manifold_with_point_file(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"n": 1, "c": 1, "phi": ["z1*zb1"]}))
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"z": ["1/2 + I"], "u": ["2"]}))
+    spec = load_manifold(str(path), str(point))
+    assert spec.point == PointAssignment(z=(gr(Fraction(1, 2), 1),), u=(Fraction(2),))
+    assert spec.phi == load_manifold(str(path)).phi
+
+
 def test_load_manifold_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"n": 1, "c": 1, "phi": ["z1*zb1"]}))

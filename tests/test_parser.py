@@ -68,6 +68,19 @@ def test_bad_exponent():
         parse_expr("z1^(1/2)", 1, 1)
 
 
+def test_overlong_literal_is_a_parse_error():
+    # past Python's default int-string limit of 4300 digits
+    digits = "9" * 5000
+    with pytest.raises(ParseError) as info:
+        parse_expr(f"z1 + {digits}", 1, 1)
+    assert info.value.position == 5
+    with pytest.raises(ParseError) as info:
+        parse_expr(f"z1^{digits}", 1, 1)
+    assert info.value.position == 3
+    with pytest.raises(ParseError, match="unknown variable"):
+        parse_expr(f"z{digits}", 1, 1)
+
+
 def test_division_by_zero_constant():
     with pytest.raises((ParseError, ZeroDivisionError)):
         parse_expr("z1/0", 1, 1)
