@@ -33,9 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heappop, heappush
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import le
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import DegreeOverflowError
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, reduced
@@ -635,6 +635,23 @@ def _slot_images(
     return out
 
 
+def _gcd_degree_mod(a: list[int], b: list[int]) -> int:
+    """Degree of gcd(a, b) in GF(_P)[x]; dense, trimmed, a nonzero."""
+    while b:
+        inv = pow(b[-1], -1, _P)
+        n = len(b) - 1
+        while len(a) > n:
+            q = a.pop() * inv % _P
+            if q:
+                off = len(a) - n
+                for j in range(n):
+                    a[off + j] = (a[off + j] - q * b[j]) % _P
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
 def _coprimality_scan(
     f: MultiPoly, g: MultiPoly, df: list[int], dg: list[int]
 ) -> tuple[bool, int | None]:
@@ -656,7 +673,7 @@ def _coprimality_scan(
         gi = _slot_images(g_res, vals, top, slots)
         for s in slots:
             if len(fi[s]) == df[s] + 1:
-                bound[s] = min(bound[s], len(_ugcd(fi[s], gi[s], _P)) - 1)
+                bound[s] = min(bound[s], _gcd_degree_mod(fi[s], gi[s]))
                 if not bound[s]:
                     del bound[s]
         if not bound:
@@ -664,16 +681,10 @@ def _coprimality_scan(
     return False, min(bound, key=lambda s: (min(df[s], dg[s]) - bound[s], min(df[s], dg[s]), s))
 
 
-# -- gcd by pseudo-remainders ------------------------------------------------
-#
 # The pseudo-remainder loop squares coefficient sizes at every step, so the
 # common integer content is stripped after each step. Pseudo-remainders are
 # only used up to a scalar, which makes both the denominator clearing on
-# entry and the content stripping harmless. Stripping does not always keep
-# them small, so a remainder larger than _SWELL times the operands hands
-# the gcd to the modular algorithm, whose work does not grow that way.
-
-_SWELL = 8
+# entry and the content stripping harmless.
 
 
 def _int_layers(p: MultiPoly, slot: int) -> dict[int, IPoly]:
@@ -753,330 +764,6 @@ def _primitive_part(p: MultiPoly, slot: int) -> MultiPoly:
     return p
 
 
-# -- modular gcd ----------------------------------------------------------------
-#
-# The monic gcd over Q(i) from its images in GF(p) for primes p = 1 (mod 4).
-# i has the two images r and -r there (r^2 = -1 mod p), and the two images
-# of a coefficient a + b i give a and b mod p. Images of several primes are
-# joined by CRT and the coefficients recovered by rational reconstruction
-# (Wang, Guy & Davenport 1982). The candidate is the gcd G once it divides
-# both operands exactly: it then divides G, and its leading monomial is
-# that of an image mod p, which G's image divides, so it is not below G's.
-# A prime is used only if it keeps both operands' leading monomials, so
-# that G's image keeps G's; of the primes' images, only those with the
-# least leading monomial are joined.
-#
-# Each image comes from Brown's dense algorithm (Brown 1971, J. ACM 18):
-# evaluate the last slot at points, recurse, and interpolate, with the
-# images scaled to the leading coefficient gamma = gcd of the operands'
-# leading coefficients in the other slots. An interpolant's primitive part
-# that divides both operands is their gcd by the same leading-monomial
-# argument. Polynomials in GF(p) are dicts key -> residue; univariate ones
-# are dense lists, lowest degree first.
-
-# distinct evaluation points j * _STRIDE, spread over GF(p)
-_STRIDE = 40503
-# primes p = 1 (mod 4) below 2^30, largest first, each with a square root
-# of -1 mod p; found on first use
-_SPLIT_PRIMES: list[tuple[int, int]] = []
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with bases 2, 3, 5, 7: exact for n < 3215031751."""
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _split_primes() -> Iterator[tuple[int, int]]:
-    """The entries of _SPLIT_PRIMES in order, extending it as needed."""
-    j = 0
-    while True:
-        if j == len(_SPLIT_PRIMES):
-            p = _SPLIT_PRIMES[-1][0] - 4 if _SPLIT_PRIMES else (1 << 30) - 3
-            while not _is_prime(p):
-                p -= 4
-            c = 2
-            while (r := pow(c, (p - 1) // 4, p)) * r % p != p - 1:
-                c += 1
-            _SPLIT_PRIMES.append((p, r))
-        yield _SPLIT_PRIMES[j]
-        j += 1
-
-
-def _ugcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd of two dense polynomials mod p; [] only for two zeros."""
-    a, b = a[:], b[:]
-    while b:
-        inv = pow(b[-1], -1, p)
-        n = len(b) - 1
-        while len(a) > n:
-            q = a.pop() * inv % p
-            if q:
-                off = len(a) - n
-                for j in range(n):
-                    a[off + j] = (a[off + j] - q * b[j]) % p
-        while a and not a[-1]:
-            a.pop()
-        a, b = b, a
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _uquo(a: list[int], b: list[int], p: int) -> list[int]:
-    """a / b mod p for b dividing a."""
-    a = a[:]
-    n = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - n)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = q[i - n] = a[i] * inv % p
-        if c:
-            for j in range(n):
-                a[i - n + j] = (a[i - n + j] - c * b[j]) % p
-    return q
-
-
-def _umul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _ueval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _mod_divides(a: dict[int, int], c: dict[int, int], nvars: int, p: int) -> bool:
-    """True when c divides a mod p; division by leading terms, as in
-    MultiPoly.divexact."""
-    ck = max(c)
-    needs = [(FIELD_BITS * s, e) for s, e in enumerate(_unpack(ck, nvars)) if e]
-    inv = pow(c[ck], -1, p)
-    rest = [(k - ck, v) for k, v in c.items() if k != ck]
-    rem = dict(a)
-    heap = [-k for k in sorted(rem, reverse=True)]
-    while heap:
-        k = -heappop(heap)
-        lead = rem.pop(k, None)
-        if lead is None:
-            continue
-        for shift, e in needs:
-            if (k >> shift) & MAX_DEGREE < e:
-                return False
-        t = lead * inv % p
-        for dk, v in rest:
-            mk = k + dk
-            cur = rem.get(mk)
-            if cur is None:
-                rem[mk] = -t * v % p
-                heappush(heap, -mk)
-            elif (new := (cur - t * v) % p):
-                rem[mk] = new
-            else:
-                del rem[mk]
-    return True
-
-
-def _mod_gcd(
-    space: VarSpace, a: dict[int, int], b: dict[int, int], slots: list[int], p: int
-) -> dict[int, int] | None:
-    """Monic gcd mod p of nonzero a and b, which have only the given slots;
-    None when Brown's interpolation does not settle."""
-    if len(a) == 1 and 0 in a or len(b) == 1 and 0 in b:
-        return {0: 1}
-    shift, unit = _slot_field(space, slots[-1])
-    if len(slots) == 1:
-        rows = []
-        for poly in (a, b):
-            row = [0] * (max(poly) // unit + 1)
-            for k, c in poly.items():
-                row[k // unit] = c
-            rows.append(row)
-        return {e * unit: c for e, c in enumerate(_ugcd(*rows, p)) if c}
-    if not any(k >> shift & MAX_DEGREE for k in (*a, *b)):
-        return _mod_gcd(space, a, b, slots[:-1], p)
-    views = []
-    for poly in (a, b):
-        view: dict[int, list[int]] = {}
-        for k, c in poly.items():
-            e = (k >> shift) & MAX_DEGREE
-            row = view.setdefault(k - e * unit, [])
-            if len(row) <= e:
-                row.extend([0] * (e + 1 - len(row)))
-            row[e] = c
-        cont: list[int] = []
-        for row in view.values():
-            cont = _ugcd(cont, row, p)
-            if len(cont) == 1:
-                break
-        if len(cont) > 1:
-            view = {m: _uquo(row, cont, p) for m, row in view.items()}
-        views.append((view, cont))
-    (av, ca), (bv, cb) = views
-    content = _ugcd(ca, cb, p)
-    la, lb = av[max(av)], bv[max(bv)]
-    gamma = _ugcd(la, lb, p)
-    deg = min(max(map(len, av.values())), max(map(len, bv.values()))) - 1
-    need = len(gamma) + deg
-    rest = slots[:-1]
-    lm = None
-    h: dict[int, list[int]] = {}
-    q = [1]
-    count = 0
-    for j in range(1, need + len(la) + len(lb) + 16):
-        x = j * _STRIDE % p
-        if not _ueval(la, x, p) or not _ueval(lb, x, p):
-            continue
-        img = _mod_gcd(
-            space,
-            {m: v for m, row in av.items() if (v := _ueval(row, x, p))},
-            {m: v for m, row in bv.items() if (v := _ueval(row, x, p))},
-            rest,
-            p,
-        )
-        if img is None:
-            continue
-        top = max(img)
-        if lm is not None and top > lm:
-            continue
-        scale = _ueval(gamma, x, p)
-        if lm is None or top < lm:
-            lm, count, q = top, 1, [-x % p, 1]
-            h = {m: [v * scale % p] for m, v in img.items()}
-            changed = True
-        else:
-            inv = pow(_ueval(q, x, p), -1, p)
-            changed = False
-            for m in h.keys() | img.keys():
-                row = h.get(m, [])
-                d = (img.get(m, 0) * scale - _ueval(row, x, p)) * inv % p
-                if d:
-                    changed = True
-                    row = row + [0] * (len(q) - len(row))
-                    for i, qi in enumerate(q):
-                        row[i] = (row[i] + d * qi) % p
-                    while row and not row[-1]:
-                        row.pop()
-                    if row:
-                        h[m] = row
-                    else:
-                        del h[m]
-            q = _umul(q, [-x % p, 1], p)
-            count += 1
-        if changed and count < need:
-            continue
-        cont = []
-        for row in h.values():
-            cont = _ugcd(cont, row, p)
-            if len(cont) == 1:
-                break
-        cand = {}
-        for m, row in h.items():
-            if len(cont) > 1:
-                row = _uquo(row, cont, p)
-            for e, c in enumerate(_umul(row, content, p)):
-                if c:
-                    cand[m + e * unit] = c
-        if _mod_divides(a, cand, space.nvars, p) and _mod_divides(b, cand, space.nvars, p):
-            inv = pow(cand[max(cand)], -1, p)
-            return {k: c * inv % p for k, c in cand.items()}
-    return None
-
-
-def _rational(u: int, m: int) -> tuple[int, int] | None:
-    """(n, d) with n/d = u mod m, |n| and d at most sqrt(m/2), d > 0."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, u, 0, 1
-    while r1 > bound:
-        quo = r0 // r1
-        r0, r1 = r1, r0 - quo * r1
-        t0, t1 = t1, t0 - quo * t1
-    if not t1 or abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return (r1, t1) if t1 > 0 else (-r1, -t1)
-
-
-def _modular_gcd(f: MultiPoly, g: MultiPoly, df: list[int], dg: list[int]) -> MultiPoly:
-    """The monic gcd of nonzero f and g from images mod primes. df and dg
-    are their largest exponents per slot; the slot of largest degree is the
-    last to be evaluated away."""
-    space = f.space
-    slots = sorted(
-        (s for s, d in enumerate(map(max, df, dg)) if d), key=lambda s: -max(df[s], dg[s])
-    )
-    fi, gi = _int_form(f.terms)[1], _int_form(g.terms)[1]
-    kf, kg = f.terms[0][0], g.terms[0][0]
-    lm = None
-    modulus = 1
-    acc: dict[int, tuple[int, int]] = {}
-    for p, r in _split_primes():
-        images = []
-        for root in (r, p - r):
-            fp = {k: v for k, (x, y) in fi.items() if (v := (x + y * root) % p)}
-            gp = {k: v for k, (x, y) in gi.items() if (v := (x + y * root) % p)}
-            if kf not in fp or kg not in gp:
-                break
-            img = _mod_gcd(space, fp, gp, slots, p)
-            if img is None:
-                break
-            images.append(img)
-        if len(images) < 2 or max(images[0]) != max(images[1]):
-            continue
-        plus, minus = images
-        top = max(plus)
-        if lm is not None and top > lm:
-            continue
-        if lm is None or top < lm:
-            lm, modulus, acc = top, 1, {}
-        half, half_root = (p + 1) // 2, pow(2 * r, -1, p)
-        step = pow(modulus, -1, p)
-        for k in plus.keys() | minus.keys() | acc.keys():
-            x, y = plus.get(k, 0), minus.get(k, 0)
-            re, im = acc.get(k, (0, 0))
-            re += modulus * (((x + y) * half - re) * step % p)
-            im += modulus * (((x - y) * half_root - im) * step % p)
-            acc[k] = (re, im)
-        modulus *= p
-        terms = []
-        for k in sorted(acc, reverse=True):
-            re, im = acc[k]
-            a, b = _rational(re, modulus), _rational(im, modulus)
-            if a is None or b is None:
-                break
-            d = lcm(a[1], b[1])
-            if a[0] or b[0]:
-                terms.append((k, reduced(a[0] * (d // a[1]), b[0] * (d // b[1]), d)))
-        else:
-            cand = MultiPoly(space, tuple(terms))
-            try:
-                f.divexact(cand)
-                g.divexact(cand)
-            except ExactDivisionError:
-                continue
-            return cand
-
-
 @lru_cache(maxsize=8192)
 def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """Monic gcd over Q(i); gcd(0, 0) = 0."""
@@ -1106,21 +793,11 @@ def poly_gcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
         if b and not a:
             return (shared * _content_in(g, s, f)).monic()
     core = _gcd_primitive(f, g, pivot)
-    if core is None:
-        core = _modular_gcd(f, g, df, dg)
     return (shared * core).monic()
 
 
-def _bits(p: MultiPoly) -> int:
-    """Size of p's coefficients, in bits."""
-    return sum(x.bit_length() + y.bit_length() + d.bit_length() for _, (x, y, d) in p.terms)
-
-
-def _gcd_primitive(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly | None:
-    """gcd(f, g) up to a scalar, by a primitive pseudo-remainder sequence in
-    slot; None once a remainder outgrows the budget."""
+def _gcd_primitive(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly:
     space = f.space
-    budget = _SWELL * (_bits(f) + _bits(g))
     cf = _content_in(f, slot)
     cg = _content_in(g, slot)
     c = poly_gcd(cf, cg)
@@ -1130,8 +807,6 @@ def _gcd_primitive(f: MultiPoly, g: MultiPoly, slot: int) -> MultiPoly | None:
         big, small = small, big
     while True:
         r = _prem(big, small, slot)
-        if _bits(r) > budget:
-            return None
         if r.is_zero():
             prim = small
             break

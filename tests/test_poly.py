@@ -3,7 +3,6 @@
 import copy
 import pickle
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,8 +20,6 @@ from crclass.poly import (
     VarSpace,
     _coprimality_scan,
     _exponent_range,
-    _modular_gcd,
-    _split_primes,
     is_linear_prime,
     poly_gcd,
 )
@@ -46,8 +43,8 @@ exponents = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(5))
 
 
 @st.composite
-def polys(draw, max_terms=4, coeffs=small_coeffs, min_terms=0):
-    terms = draw(st.lists(st.tuples(exponents, coeffs), min_size=min_terms, max_size=max_terms))
+def polys(draw, max_terms=4, coeffs=small_coeffs):
+    terms = draw(st.lists(st.tuples(exponents, coeffs), max_size=max_terms))
     acc = MultiPoly.zero(SP)
     for expo, coeff in terms:
         acc = acc + _mono(expo, coeff)
@@ -326,77 +323,10 @@ def _scan(f, g):
     return _coprimality_scan(f, g, _exponent_range(f)[1], _exponent_range(g)[1])
 
 
-# w^2 A and w^6 have the gcd w^2. All five slots are shared, so no slot is
-# exclusive. The pseudo-remainder gcd that the modular gcd replaced ran past
-# 15 s on this pair, and sympy's gcd over QQ_I past 300 s.
-W = "z1^2*z2^2*zb1*zb2 + (-6/13 - 9/13*I)*u1"
-COFACTOR = (
-    "(-15/13 - 3/13*I)*z1^6*z2^6*zb1^4*zb2^4*u1^3"
-    " + (32/13 - 4/13*I)*z1^5*z2^7*zb1^4*zb2^4*u1^2"
-    " + (-17/13 + 7/13*I)*z1^6*z2^8*zb1^4*zb2^2*u1^2"
-    " + (132/13 - 36/13*I)*z1^5*z2^6*zb1^3*zb2^4*u1"
-    " + (-882/169 - 2142/169*I)*z1^4*z2^4*zb1^3*zb2^3*u1^4"
-    " + (-180/13 + 120/13*I)*z1^4*z2^7*zb1^3*zb2^4"
-    " + (108/13 - 124/13*I)*z1^5*z2^8*zb1^3*zb2^2"
-    " + (432/13 - 288/13*I)*z1^3*z2^4*zb1^3*zb2^4*u1^3"
-    " + (1824/169 + 2112/169*I)*z1^3*z2^5*zb1^3*zb2^3*u1^3"
-    " + (-2310/169 - 1554/169*I)*z1^4*z2^6*zb1^3*zb2*u1^3"
-    " + (-420/13 + 540/13*I)*z1^2*z2^5*zb1^3*zb2^4*u1^2"
-    " + (240/13 - 576/13*I)*z1^3*z2^6*zb1^3*zb2^2*u1^2"
-    " + (4464/169 + 3888/169*I)*z1^3*z2^4*zb1^2*zb2^3*u1^2"
-    " + (8991/2197 - 13365/2197*I)*z1^2*z2^2*zb1^2*zb2^2*u1^5"
-    " + (-5760/169 - 2400/169*I)*z1^2*z2^5*zb1^2*zb2^3*u1"
-    " + (7056/169 + 912/169*I)*z1^3*z2^6*zb1^2*zb2*u1"
-    " + (2592/169 + 1080/169*I)*z1*z2^2*zb1^2*zb2^3*u1^4"
-    " + (-3024/2197 + 10908/2197*I)*z1*z2^3*zb1^2*zb2^2*u1^4"
-    " + (81/2197 - 19359/2197*I)*z1^2*z2^4*zb1^2*u1^4"
-    " + (-1476/169 - 108/169*I)*z2^3*zb1^2*zb2^3*u1^3"
-    " + (3312/169 - 648/169*I)*z1*z2^4*zb1^2*zb2*u1^3"
-    " + (-2052/2197 + 15876/2197*I)*z1*z2^2*zb1*zb2^2*u1^3"
-    " + (-1620/2197 - 8280/2197*I)*z2^3*zb1*zb2^2*u1^2"
-    " + (8532/2197 + 17244/2197*I)*z1*z2^4*zb1*u1^2"
-)
-
-
-def test_gcd_of_a_pair_sharing_every_slot():
-    w, a = (parse_expr(text, 2, 1).num for text in (W, COFACTOR))
-    f, g = w.pow(2) * a, w.pow(6)
-    assert (len(f.terms), len(g.terms)) == (40, 7)
-    assert poly_gcd(f, g) == w.pow(2)
-
-
 @given(
-    polys(max_terms=2, coeffs=rational_coeffs),
     polys(max_terms=3, coeffs=rational_coeffs),
     polys(max_terms=3, coeffs=rational_coeffs),
-)
-@settings(max_examples=40, deadline=None)
-def test_modular_gcd_is_a_greatest_common_divisor(h, a, b):
-    # the added variables keep most draws nonconstant with a shared slot
-    f, g = (h + Z1) * (a + Z2), (h + Z1) * (b + ZB2)
-    assume(not f.is_constant() and not g.is_constant())
-    got = _modular_gcd(f, g, _exponent_range(f)[1], _exponent_range(g)[1])
-    assert got == got.monic()
-    # a multiple of the planted factor that divides both, with cofactors
-    # that the images mod _P prove coprime
-    got.divexact(h + Z1)
-    assert _scan(f.divexact(got), g.divexact(got))[0]
-
-
-def test_split_primes():
-    primes = list(islice(_split_primes(), 64))
-    assert len(set(primes)) == len(primes)
-    for p, r in primes:
-        assert p < 1 << 30 and p % 4 == 1 and r * r % p == p - 1
-    # no factor below 32768 > sqrt(p) in the first few
-    assert all(p % d for p, _ in primes[:4] for d in range(2, 32768))
-
-
-@given(
-    # at least one term each, so that few draws are filtered out
-    polys(max_terms=3, coeffs=rational_coeffs, min_terms=1),
-    polys(max_terms=3, coeffs=rational_coeffs, min_terms=1),
-    polys(max_terms=3, coeffs=rational_coeffs, min_terms=1),
+    polys(max_terms=3, coeffs=rational_coeffs),
 )
 @settings(max_examples=50, deadline=None)
 def test_coprimality_scan_never_certifies_a_common_factor(h, a, b):
