@@ -211,11 +211,6 @@ def rho0(frame: FrameData) -> tuple[OneForm, ...]:
     return tuple(forms)
 
 
-def characteristic_field(frame: FrameData) -> VectorField:
-    """T = i[L_1, Lbar_1]; real whenever n = 1."""
-    return bracket_with_conj(frame.L[0]).scale(GR_I)
-
-
 def named_brackets(L: Sequence[VectorField], c: int) -> Iterator[tuple[str, VectorField]]:
     """The frames L and conj(L) and the brackets the decision tree reads,
     in order, lazily.

@@ -1,10 +1,12 @@
-"""Levi matrix, slant function, kernel generator, and the Freeman invariant.
+"""Levi data, kernel data, and the closed-form oracles.
 
-Levi entries follow the convention entry(r, c) = rho0(i*[L_c, Lbar_r]),
-so row r is indexed by the conjugated frame member. Two independent
-routes exist for the key hypersurface quantities: the bracket engine and
-direct closed forms in the derivatives of phi. They are kept separate on
-purpose; tests compare them.
+levi_data reads the Levi rows entry(r, c) = rho0(i*[L_c, Lbar_r]) of
+frame fields (row r is indexed by the conjugated member), their rank
+certificate, the rank at the base point and, on type (2,1) at Levi rank
+1, the kernel data, which slant_k returns for a frame. The closed forms
+l1a1_closed_form, levi_det_closed_form and k_quotients reach the same
+quantities from the derivatives of phi, apart from the bracket engine on
+purpose: tests compare the two routes.
 
 Sign convention: the engine value of kappa0([K, Lbar_1]) works out to
 -Lbar_1(k) on the d/dz_1 component. We keep the engine sign.
@@ -31,7 +33,6 @@ from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, gr
 from .linalg import (
     RankCertificate,
     cramer_solve,
-    det_expr,
     generic_rank_matrix,
     rank_at_point_matrix,
 )
@@ -61,23 +62,6 @@ def levi_entries(rho: OneForm, fields: Sequence[VectorField]) -> LeviRows:
     tower = named_brackets(fields, 1)
     values = [rho.apply(br) for _, br in islice(tower, 2 * n, None)]
     return tuple(tuple(values[r * n:(r + 1) * n]) for r in range(n))
-
-
-def levi_matrix(
-    vm: ValidatedManifold, frame: FrameData | None = None
-) -> LeviRows:
-    """Hermitian n x n Levi matrix through the bracket engine; needs c = 1."""
-    if vm.c != 1 or vm.n not in (1, 2):
-        raise DimensionError("Levi matrix is exposed for c = 1, n in {1, 2}")
-    if frame is None:
-        frame = cramer_frame(vm)
-    rho = rho0(frame)[0]
-    return levi_entries(rho, frame.L)
-
-
-def levi_det(vm: ValidatedManifold, frame: FrameData | None = None) -> RationalExpr:
-    rows = levi_matrix(vm, frame)
-    return det_expr([list(r) for r in rows])
 
 
 class _Derivs:
@@ -212,12 +196,6 @@ class KernelData:
     levi: LeviRows
     freeman_at_point: GaussianRational | None
 
-    def adjusted_A(self) -> tuple[RationalExpr, RationalExpr]:
-        """u-coefficients of the working frame fields."""
-        space = self.fields[0].space
-        u = space.u_slot(0)
-        return self.fields[0].coeffs[u], self.fields[1].coeffs[u]
-
 
 @dataclass(frozen=True, slots=True)
 class LeviData:
@@ -332,13 +310,3 @@ def _kernel_data(
         levi=rows,
         freeman_at_point=fre_at,
     )
-
-
-def freeman(vm: ValidatedManifold) -> RationalExpr:
-    return slant_k(vm).freeman
-
-
-def is_cr_function(f: RationalExpr, vm: ValidatedManifold) -> bool:
-    """True iff every conj(L_i) annihilates f identically."""
-    frame = cramer_frame(vm)
-    return all(lb.apply(f).is_zero() for lb in frame.Lbar)

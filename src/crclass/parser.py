@@ -14,7 +14,8 @@ division; all arithmetic is exact so the value is identical.
 
 The parser is recursive descent. Parentheses may nest at most MAX_NESTING
 deep, so that no input can exhaust the interpreter's stack; a chain of
-unary minus signs is read in a loop.
+unary minus signs is read in a loop. An exponent is at most MAX_EXPONENT,
+and a power of a constant at most about MAX_CONSTANT_BITS bits long.
 
 Subexpressions are built as polynomials, and division by a constant
 scales them; only a division by a nonconstant expression turns a
@@ -32,6 +33,7 @@ from .poly import MultiPoly, VarSpace
 from .ratfunc import RationalExpr
 
 MAX_EXPONENT = 512
+MAX_CONSTANT_BITS = 1 << 16
 MAX_NESTING = 100
 
 
@@ -173,6 +175,10 @@ class _Parser:
             exponent = _literal(value, pos)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
+            if e.is_constant():
+                bits = max(abs(x).bit_length() for x in e.as_constant())
+                if exponent * bits > MAX_CONSTANT_BITS:
+                    raise ParseError(f"power exceeds {MAX_CONSTANT_BITS} bits", pos)
             e = e.pow(exponent)
 
     def atom(self) -> Value:

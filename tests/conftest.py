@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from crclass.frames import cramer_frame
 from crclass.manifold import manifold_from_dict, validate_manifold
 from crclass.parser import parse_expr
 
@@ -32,6 +33,11 @@ def build(n, c, phis, point=None):
     if point is not None:
         data["point"] = point
     return validate_manifold(manifold_from_dict(data))
+
+
+def is_cr_function(f, vm):
+    """True iff every conj(L_i) of the Cramer frame annihilates f identically."""
+    return all(lb.apply(f).is_zero() for lb in cramer_frame(vm).Lbar)
 
 
 def count_calls(monkeypatch, module, name):

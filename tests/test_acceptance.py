@@ -21,27 +21,27 @@ from conftest import (
     SPHERE,
     SUM_SQUARE,
     build,
+    is_cr_function,
 )
 from crclass.classify import classify
 from crclass.errors import FrameSingularError
 from crclass.frames import (
     change_frame,
-    characteristic_field,
     cramer_frame,
     lie_bracket,
+    named_brackets,
     rho0,
 )
 from crclass.gaussian import gr
 from crclass.levi import (
-    is_cr_function,
     k_quotients,
     l1a1_closed_form,
-    levi_det,
+    levi_data,
     levi_det_closed_form,
     levi_entries,
     slant_k,
 )
-from crclass.linalg import generic_rank_matrix
+from crclass.linalg import det_expr, generic_rank_matrix
 from crclass.manifold import manifold_from_dict, validate_manifold
 from crclass.parser import expr_to_text, parse_expr
 from crclass.poly import MultiPoly, VarSpace
@@ -138,7 +138,8 @@ def test_criterion_2_closed_form_oracles():
         frame = cramer_frame(vm)
         engine_l1a1 = frame.L[0].apply(frame.A[0][0].conj())
         assert (engine_l1a1 - l1a1_closed_form(vm)).is_zero(), vm.phi
-        assert (levi_det(vm, frame) - levi_det_closed_form(vm)).is_zero(), vm.phi
+        engine_det = det_expr(levi_data(vm, frame, frame.L).rows)
+        assert (engine_det - levi_det_closed_form(vm)).is_zero(), vm.phi
     print(
         "criterion 2: PASS (engine = closed form for det and L1(conj A1) on "
         f"{len(manifolds)} manifolds)"
@@ -148,7 +149,8 @@ def test_criterion_2_closed_form_oracles():
 def test_criterion_3_three_quotients_equal():
     for spec in (LIGHT_CONE_TUBE, PRODUCT_M3XC, SUM_SQUARE):
         vm = build(*spec)
-        assert levi_det(vm).is_zero()
+        frame = cramer_frame(vm)
+        assert det_expr(levi_data(vm, frame, frame.L).rows).is_zero()
         main, holo, anti = k_quotients(vm)
         assert main == holo
         assert main == anti
@@ -206,7 +208,7 @@ def test_criterion_4_algebraic_identity_suites():
                 for f in list(frame.L) + list(frame.Lbar):
                     assert form.apply(f).is_zero()
             if n == 1:
-                t = characteristic_field(frame)
+                t = dict(named_brackets(frame.L, 1))["T"]
                 assert (t - t.conj()).is_zero()
     print("criterion 4: PASS (Jacobi, commutativity, Hermitian, rho0, conj, T)")
 
@@ -261,7 +263,7 @@ def test_criterion_7_degenerate_freeman_certificate():
         kd = slant_k(vm)
         assert kd.freeman.is_zero()
         assert is_cr_function(kd.k, vm)
-        a1, a2 = kd.adjusted_A()
+        a1, a2 = (f.coeffs[vm.space.u_slot(0)] for f in kd.fields)
         assert is_cr_function(kd.k * a1 + a2, vm)
     print("criterion 7: PASS (freeman = 0 and both CR certificates)")
 

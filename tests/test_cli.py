@@ -1,9 +1,9 @@
 """Command-line interface: text output, JSON reports, exit codes."""
 
 import contextlib
-import importlib.util
 import io
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -26,6 +26,7 @@ from conftest import (
 from crclass.classify import MAX_HULL_DEPTH
 from crclass.errors import InternalAssertion
 from crclass import poly
+from crclass.parser import MAX_CONSTANT_BITS
 from crclass.poly import MAX_DEGREE
 
 REPO = Path(__file__).resolve().parents[1]
@@ -378,6 +379,21 @@ def test_long_coefficient_prints_exactly(tmp_path, capsys):
     assert f"minor 2{'0' * 4500}\n" in out
 
 
+@pytest.mark.parametrize(
+    "phi,offset",
+    [("2^512^512*z1*zb1", 6), ("(2^512)^512*z1*zb1", 8), ("2^512^512^9*z1*zb1", 6)],
+)
+def test_chained_constant_power_exits_one(tmp_path, capsys, phi, offset):
+    """A chain of capped exponents is bounded by the bit length of the
+    constant power, checked before the power is taken. The work of a
+    nonconstant power, such as (z1+zb1+z2+zb2+u1)^40, is not bounded here;
+    that needs a work budget."""
+    path = write_spec(tmp_path, (1, 1, [phi]))
+    code, out, err = run_cli(capsys, "classify", "--input", path, "--json")
+    assert code == 1 and out == ""
+    assert err == f"error: power exceeds {MAX_CONSTANT_BITS} bits (offset {offset})\n"
+
+
 def golden_outputs(directory):
     """Stdout of every golden model under every golden command."""
     out = {}
@@ -428,21 +444,40 @@ def test_tube_image_levi_takes_few_coprimality_scans(tmp_path, capsys, monkeypat
     assert len(calls) <= 10
 
 
+# The benchmark imports crclass.cli alone, reads these modules from
+# sys.modules, and with --trace 1 wraps every TARGETS entry of
+# perfbench/tracing.py by name; a name a refactor drops would only
+# surface in a benchmark run, so a fresh interpreter checks them the
+# same way.
+_BENCH_NAMES_PROBE = """
+import sys
+sys.path[:0] = sys.argv[1:3]
+import crclass.cli
+import tracing
+assert tracing.TARGETS
+names = [(m, a) for m, a, _ in tracing.TARGETS] + [
+    ("crclass.cli", "main"),
+    ("crclass.manifold", "manifold_from_dict"),
+    ("crclass.manifold", "validate_manifold"),
+    ("crclass.poly", "poly_gcd"),
+]
+for module_name, attr in names:
+    module = sys.modules.get(module_name)
+    cls_name, _, meth = attr.rpartition(".")
+    owner = vars(getattr(module, cls_name)) if cls_name else vars(module)
+    if meth not in owner:
+        print(f"{module_name}.{attr}")
+"""
+
+
 def test_traced_names_resolve():
-    # The benchmark's tracer wraps these names by getattr; one that a
-    # refactor drops would only surface in a traced benchmark run.
-    path = REPO / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    assert tracing.TARGETS
-    for module_name, attr, _span in tracing.TARGETS:
-        module = sys.modules[module_name]
-        if "." in attr:
-            cls_name, meth = attr.split(".")
-            assert meth in vars(getattr(module, cls_name)), f"{module_name}.{attr}"
-        else:
-            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+    probe = subprocess.run(
+        [sys.executable, "-c", _BENCH_NAMES_PROBE, str(REPO / "src"), str(REPO / "perfbench")],
+        capture_output=True,
+        text=True,
+    )
+    assert probe.returncode == 0 and probe.stderr == "", probe.stderr
+    assert probe.stdout == ""
 
 
 if __name__ == "__main__":

@@ -10,11 +10,11 @@ from crclass.gaussian import GR_I, gr
 from crclass.frames import (
     VectorField,
     change_frame,
-    characteristic_field,
     cramer_frame,
     decompose_in_frame,
     generic_rank,
     lie_bracket,
+    named_brackets,
     rank_at_point,
     rho0,
 )
@@ -93,7 +93,7 @@ def test_heisenberg_bracket():
     assert br.coeffs[sp.zb_slot(0)].is_zero()
     assert br.coeffs[sp.u_slot(0)] == pe("-2*I", 1, 1)
     # du(i[L, Lbar]) = 2
-    t = characteristic_field(frame)
+    t = dict(named_brackets(frame.L, 1))["T"]
     assert t.coeffs[sp.u_slot(0)] == pe("2", 1, 1)
 
 
@@ -116,7 +116,7 @@ def test_tube_frame_fields_commute():
 def test_characteristic_field_real_for_n1():
     for spec in (HEISENBERG, BELOSHAPKA, MODEL_III2):
         vm = build(*spec)
-        t = characteristic_field(cramer_frame(vm))
+        t = dict(named_brackets(cramer_frame(vm).L, 1))["T"]
         conj = t.conj()
         assert all((a - b).is_zero() for a, b in zip(t.coeffs, conj.coeffs))
 
@@ -144,7 +144,7 @@ def test_decompose_iii2_fourth_bracket():
     # [Lbar, T] lies on [L, T] exactly, with unit coefficient
     vm = build(*MODEL_III2)
     frame = cramer_frame(vm)
-    t = characteristic_field(frame)
+    t = dict(named_brackets(frame.L, 1))["T"]
     lt = lie_bracket(frame.L[0], t)
     lbt = lie_bracket(frame.Lbar[0], t)
     lams = decompose_in_frame(lbt, [frame.L[0], frame.Lbar[0], t, lt])
@@ -174,7 +174,7 @@ def test_decompose_errors():
 def test_generic_rank_heisenberg_triple():
     vm = build(*HEISENBERG)
     frame = cramer_frame(vm)
-    t = characteristic_field(frame)
+    t = dict(named_brackets(frame.L, 1))["T"]
     triple = [frame.L[0], frame.Lbar[0], t]
     assert generic_rank(triple).rank == 3
     assert rank_at_point(triple, vm.point_coords()) == 3
@@ -185,7 +185,7 @@ def test_generic_rank_heisenberg_triple():
 def test_generic_rank_iii2_pentad():
     vm = build(*MODEL_III2)
     frame = cramer_frame(vm)
-    t = characteristic_field(frame)
+    t = dict(named_brackets(frame.L, 1))["T"]
     lt = lie_bracket(frame.L[0], t)
     lbt = lie_bracket(frame.Lbar[0], t)
     assert generic_rank([frame.L[0], frame.Lbar[0], t, lt, lbt]).rank == 4

@@ -10,60 +10,62 @@ from conftest import (
     SPHERE,
     SUM_SQUARE,
     build,
+    is_cr_function,
     pe,
 )
 from crclass.errors import RankMismatchError
 from crclass.frames import change_frame, cramer_frame, rho0
 from crclass.gaussian import GR_I, gr
 from crclass.levi import (
-    freeman,
-    is_cr_function,
     k_quotients,
     l1a1_closed_form,
-    levi_det,
+    levi_data,
     levi_det_closed_form,
     levi_entries,
-    levi_matrix,
     slant_k,
 )
-from crclass.linalg import generic_rank_matrix
+from crclass.linalg import det_expr, generic_rank_matrix
 from crclass.poly import MultiPoly, VarSpace
 from crclass.ratfunc import RationalExpr
 
 
 def test_heisenberg_levi_is_two():
     vm = build(1, 1, ["z1*zb1"])
-    rows = levi_matrix(vm)
+    frame = cramer_frame(vm)
+    rows = levi_data(vm, frame, frame.L).rows
     assert rows[0][0] == pe("2", 1, 1)
     assert generic_rank_matrix(rows).rank == 1
 
 
 def test_sphere_levi_identity():
     vm = build(*SPHERE)
-    rows = levi_matrix(vm)
+    frame = cramer_frame(vm)
+    rows = levi_data(vm, frame, frame.L).rows
     for r in range(2):
         for c in range(2):
             want = "2" if r == c else "0"
             assert rows[r][c] == pe(want, 2, 1)
-    assert levi_det(vm) == pe("4", 2, 1)
+    assert det_expr(rows) == pe("4", 2, 1)
     assert generic_rank_matrix(rows).rank == 2
 
 
 def test_rigid_levi_entries_are_second_derivatives():
     # entry(r, c) = 2 phi_{z_c zb_r} for u-independent phi
     vm = build(2, 1, ["z1*zb1 + z1^2*zb2 + zb1^2*z2"])
-    rows = levi_matrix(vm)
+    frame = cramer_frame(vm)
+    rows = levi_data(vm, frame, frame.L).rows
     assert rows[0][0] == pe("2", 2, 1)
     assert rows[0][1] == pe("4*zb1", 2, 1)
     assert rows[1][0] == pe("4*z1", 2, 1)
     assert rows[1][1].is_zero()
-    assert levi_det(vm) == pe("-16*z1*zb1", 2, 1)
+    assert det_expr(rows) == pe("-16*z1*zb1", 2, 1)
 
 
 def test_levi_hermitian():
     for spec in (SPHERE, LIGHT_CONE_TUBE, SUM_SQUARE):
         vm = build(*spec)
-        rows = levi_matrix(vm)
+        frame = cramer_frame(vm)
+        rows = levi_data(vm, frame, frame.L).rows
         for r in range(2):
             for c in range(2):
                 assert rows[r][c] == rows[c][r].conj()
@@ -71,7 +73,8 @@ def test_levi_hermitian():
 
 def test_tube_determinant_vanishes_both_routes():
     vm = build(*LIGHT_CONE_TUBE)
-    assert levi_det(vm).is_zero()
+    frame = cramer_frame(vm)
+    assert det_expr(levi_data(vm, frame, frame.L).rows).is_zero()
     assert levi_det_closed_form(vm).is_zero()
 
 
@@ -92,13 +95,16 @@ def test_det_closed_form_matches_engine_on_samples():
     ]
     for phis in samples:
         vm = build(2, 1, phis)
-        assert (levi_det(vm) - levi_det_closed_form(vm)).is_zero()
+        frame = cramer_frame(vm)
+        engine = det_expr(levi_data(vm, frame, frame.L).rows)
+        assert (engine - levi_det_closed_form(vm)).is_zero()
 
 
 def test_quotients_equal_when_det_vanishes():
     for spec in (LIGHT_CONE_TUBE, PRODUCT_M3XC, SUM_SQUARE):
         vm = build(*spec)
-        assert levi_det(vm).is_zero()
+        frame = cramer_frame(vm)
+        assert det_expr(levi_data(vm, frame, frame.L).rows).is_zero()
         main, holo, anti = k_quotients(vm)
         assert main == holo == anti
 
@@ -137,13 +143,14 @@ def test_freeman_degenerate_certificates():
         kd = slant_k(vm)
         assert kd.freeman.is_zero()
         assert is_cr_function(kd.k, vm)
-        a1, a2 = kd.adjusted_A()
+        a1, a2 = (f.coeffs[vm.space.u_slot(0)] for f in kd.fields)
         assert is_cr_function(kd.k * a1 + a2, vm)
 
 
 def test_sum_square_kernel():
     vm = build(*SUM_SQUARE)
-    rows = levi_matrix(vm)
+    frame = cramer_frame(vm)
+    rows = levi_data(vm, frame, frame.L).rows
     for r in range(2):
         for c in range(2):
             assert rows[r][c] == pe("2", 2, 1)
@@ -169,11 +176,6 @@ def test_frame_adjust_when_l11_vanishes():
         assert (rows[r][0] * kd.k + rows[r][1]).is_zero()
     assert kd.kappa0.apply(kd.K).is_zero()
     assert kd.freeman.is_zero()
-
-
-def test_freeman_helper_matches_kernel_field():
-    vm = build(*LIGHT_CONE_TUBE)
-    assert (freeman(vm) - slant_k(vm).freeman).is_zero()
 
 
 def test_is_cr_function_basics():
@@ -223,7 +225,9 @@ def test_det_routes_agree_on_random_rigid_draws():
         phi = _random_real_rigid(rnd)
         text = "0" if phi.is_zero() else str(phi.num)
         vm = build(2, 1, [text])
-        assert (levi_det(vm) - levi_det_closed_form(vm)).is_zero()
+        frame = cramer_frame(vm)
+        engine = det_expr(levi_data(vm, frame, frame.L).rows)
+        assert (engine - levi_det_closed_form(vm)).is_zero()
 
 
 def test_transformation_law_sampled():

@@ -17,8 +17,9 @@ import random
 import pytest
 
 from conftest import build
-from crclass.frames import characteristic_field, cramer_frame
-from crclass.levi import IDENTITY_2, levi_det, slant_k
+from crclass.frames import cramer_frame, named_brackets
+from crclass.levi import IDENTITY_2, levi_data, slant_k
+from crclass.linalg import det_expr
 from crclass.parser import expr_to_text
 
 sympy = pytest.importorskip("sympy")
@@ -168,14 +169,14 @@ def test_frame_and_t_match_sympy(kind, n, c, seed):
     for i in range(n):
         for l in range(c):
             assert oracle.agrees(frame.A[i][l], oracle.A[i][l]), (phis, i, l)
-    t = characteristic_field(frame)
+    t = dict(named_brackets(frame.L, 1))["T" if n == 1 else "i[L1,Lb1]"]
     want = [sympy.I * x for x in oracle.bracket(oracle.L[0], oracle.Lbar[0])]
     for got, w in zip(t.coeffs, want):
         assert oracle.agrees(got, w), phis
     if (n, c) == (2, 1):
         e = oracle.levi()
         det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-        assert oracle.agrees(levi_det(vm, frame), det), phis
+        assert oracle.agrees(det_expr(levi_data(vm, frame, frame.L).rows), det), phis
 
 
 # one u-dependent draw: sympy takes about 4 s on each

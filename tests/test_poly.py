@@ -43,8 +43,8 @@ exponents = st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(5))
 
 
 @st.composite
-def polys(draw, max_terms=4, coeffs=small_coeffs):
-    terms = draw(st.lists(st.tuples(exponents, coeffs), max_size=max_terms))
+def polys(draw, max_terms=4, coeffs=small_coeffs, min_terms=0):
+    terms = draw(st.lists(st.tuples(exponents, coeffs), min_size=min_terms, max_size=max_terms))
     acc = MultiPoly.zero(SP)
     for expo, coeff in terms:
         acc = acc + _mono(expo, coeff)
@@ -324,9 +324,9 @@ def _scan(f, g):
 
 
 @given(
-    polys(max_terms=3, coeffs=rational_coeffs),
-    polys(max_terms=3, coeffs=rational_coeffs),
-    polys(max_terms=3, coeffs=rational_coeffs),
+    polys(max_terms=3, coeffs=rational_coeffs, min_terms=1),
+    polys(max_terms=3, coeffs=rational_coeffs, min_terms=1),
+    polys(max_terms=3, coeffs=rational_coeffs, min_terms=1),
 )
 @settings(max_examples=50, deadline=None)
 def test_coprimality_scan_never_certifies_a_common_factor(h, a, b):
